@@ -9,7 +9,6 @@ is 1-based as well.  Exit codes: 0 success, 1 a bound check failed,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -46,19 +45,6 @@ def _load(path: str) -> Hypergraph:
     return parse_hypergraph(Path(path).read_text())
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("HYPERSPEC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"HYPERSPEC_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"HYPERSPEC_THREADS must be >= 1, got {value}")
-    return value
-
-
 def _emit(payload: dict, out: str | None) -> None:
     text = emit_json(payload) + "\n"
     if out:
@@ -67,7 +53,7 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_info(args: argparse.Namespace, threads: int) -> int:
+def cmd_info(args: argparse.Namespace) -> int:
     h = _load(args.file)
     if args.json:
         _emit({"schema": SCHEMA, "graph": graph_summary(h)}, args.out)
@@ -81,7 +67,7 @@ def cmd_info(args: argparse.Namespace, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_spectral(args: argparse.Namespace, threads: int) -> int:
+def cmd_spectral(args: argparse.Namespace) -> int:
     h = _load(args.file)
     opts = PowerOptions(tol=args.tol, max_iter=args.max_iter or 100_000)
     results = {}
@@ -101,10 +87,10 @@ def cmd_spectral(args: argparse.Namespace, threads: int) -> int:
     if h.k >= 3:
         structural = {}
         if adj:
-            structural["adjacency"] = structural_block(TensorKind.ADJACENCY, h, opts)
+            structural["adjacency"] = structural_block(TensorKind.ADJACENCY, h, adj)
         if sig:
             structural["signless_laplacian"] = structural_block(
-                TensorKind.SIGNLESS_LAPLACIAN, h, opts
+                TensorKind.SIGNLESS_LAPLACIAN, h, sig
             )
     payload = {
         "schema": SCHEMA,
@@ -130,7 +116,7 @@ def cmd_spectral(args: argparse.Namespace, threads: int) -> int:
     return EXIT_OK if rep.all_hold else EXIT_BOUND_FAILED
 
 
-def cmd_alpha(args: argparse.Namespace, threads: int) -> int:
+def cmd_alpha(args: argparse.Namespace) -> int:
     h = _load(args.file)
     opts = AlphaOptions(starts=args.starts, seed=args.seed, max_iter=args.max_iter or 1500)
     cert = analytic_connectivity(h, opts)
@@ -164,7 +150,7 @@ def _classification_text(c: Classification, residual: float) -> str:
     return f"H++-eigenpair, residual {residual:.3e}"
 
 
-def cmd_verify(args: argparse.Namespace, threads: int) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from .eigen import verify_eigenpair
 
     h = _load(args.file)
@@ -193,13 +179,11 @@ def cmd_verify(args: argparse.Namespace, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace, threads: int) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     h = _load(args.file)
     power_opts = PowerOptions(tol=args.tol, max_iter=args.max_iter or 100_000)
     alpha_opts = AlphaOptions(starts=args.starts, seed=args.seed)
-    report, all_hold, converged = assemble_report(
-        h, power_opts, alpha_opts, alpha_max_iter=1500, threads=threads
-    )
+    report, all_hold, converged = assemble_report(h, power_opts, alpha_opts, alpha_max_iter=1500)
     _emit(report, args.out)
     if not converged:
         return EXIT_NO_CONVERGENCE
@@ -254,12 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _threads_from_env()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        return args.func(args, threads)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

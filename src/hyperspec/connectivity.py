@@ -20,7 +20,7 @@ import numpy as np
 
 from .eigen import BoundCheck, BoundReport, make_check
 from .hypergraph import Hypergraph, components, degree_stats, is_connected
-from .tensor_ops import TensorKind, apply, form, _edge_index
+from .tensor_ops import TensorKind, adjacency_jacobian, apply, form
 
 # clamp for free coordinates inside gradient evaluation
 EPS_U = 1e-14
@@ -107,7 +107,7 @@ def _slice_gradient(h: Hypergraph, u_full: np.ndarray, free: np.ndarray) -> np.n
     ratio[active] = a[active] / xkm1[active]
     # release test for zero coordinates: largest over edges through i of the
     # smallest u among the other vertices of that edge
-    idx = _edge_index(h)
+    idx = h.edge_index
     ue = u[idx]
     part = np.partition(ue, 1, axis=1)
     min1, min2 = part[:, 0], part[:, 1]
@@ -119,8 +119,7 @@ def _slice_gradient(h: Hypergraph, u_full: np.ndarray, free: np.ndarray) -> np.n
     pulled = (~active) & (release > 1e-9)
     ratio[pulled] = RATIO_CAP
     np.minimum(ratio, RATIO_CAP, out=ratio)
-    d = np.array(h.degrees, dtype=float)
-    return (d - ratio)[free]
+    return (h.degree_vector - ratio)[free]
 
 
 def _minimize_pinned(
@@ -200,7 +199,7 @@ def _polish_support(
         return None
     x = np.maximum(u_full, 0.0) ** (1.0 / k)
     mu = form(TensorKind.LAPLACIAN, h, x)
-    d = np.array(h.degrees, dtype=float)
+    d = h.degree_vector
     for _ in range(20):
         lx = apply(TensorKind.LAPLACIAN, h, x)
         xkm1 = x ** (k - 1)
@@ -208,21 +207,7 @@ def _polish_support(
         if np.abs(F).max() < 1e-14:
             break
         # Jacobian over (x_supp, mu)
-        JA = np.zeros((supp.size, supp.size))
-        pos = {int(v): a for a, v in enumerate(supp)}
-        for e in h.edges:
-            xe = [x[v] for v in e]
-            for ai, i in enumerate(e):
-                if i not in pos:
-                    continue
-                for al, l in enumerate(e):
-                    if al == ai or l not in pos:
-                        continue
-                    p = 1.0
-                    for ar, r in enumerate(e):
-                        if ar != ai and ar != al:
-                            p *= xe[ar]
-                    JA[pos[i], pos[l]] += p
+        JA = adjacency_jacobian(h, x)[np.ix_(supp, supp)]
         diag = (k - 1) * x[supp] ** (k - 2)
         J = np.zeros((supp.size + 1, supp.size + 1))
         J[: supp.size, : supp.size] = np.diag((d[supp] - mu) * diag) - JA

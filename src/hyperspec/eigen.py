@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .hypergraph import Hypergraph, components, degree_stats
-from .tensor_ops import TensorKind, apply, as_vector
+from .tensor_ops import TensorKind, adjacency_jacobian, apply, as_vector
 
 # entries within this of zero (after sup-norm scaling) count as zero; entries
 # below its negation count as negative
@@ -207,33 +207,15 @@ def spectral_radius(
     )
 
 
-def _adjacency_jacobian(h: Hypergraph, x: np.ndarray) -> np.ndarray:
-    """Dense J[i, l] = d(A x^{k-1})_i / dx_l; zero on the diagonal."""
-    n = h.n
-    J = np.zeros((n, n))
-    for e in h.edges:
-        xe = [x[v] for v in e]
-        for ai, i in enumerate(e):
-            for al, l in enumerate(e):
-                if al == ai:
-                    continue
-                p = 1.0
-                for ar, r in enumerate(e):
-                    if ar != ai and ar != al:
-                        p *= xe[ar]
-                J[i, l] += p
-    return J
-
-
 def _eigen_system_jacobian(
     kind: TensorKind, h: Hypergraph, lam: float, x: np.ndarray, pivot: int
 ) -> np.ndarray:
     """Jacobian of F(x, lam) = T x^{k-1} - lam x^{[k-1]} with x[pivot] held fixed."""
     k = h.k
     n = h.n
-    JA = _adjacency_jacobian(h, x)
+    JA = adjacency_jacobian(h, x)
     diag = (k - 1) * x ** (k - 2)
-    d = np.array(h.degrees, dtype=float)
+    d = h.degree_vector
     if kind is TensorKind.ADJACENCY:
         JT = JA
     elif kind is TensorKind.LAPLACIAN:
@@ -278,7 +260,10 @@ def _newton_polish(
 
 
 def structural_eigenpairs(
-    kind: TensorKind, h: Hypergraph, opts: PowerOptions | None = None
+    kind: TensorKind,
+    h: Hypergraph,
+    opts: PowerOptions | None = None,
+    radius: SpectralRadiusResult | None = None,
 ) -> tuple[EigenPair, ...]:
     """Eigenpairs that exist by construction for k >= 3.
 
@@ -288,6 +273,9 @@ def structural_eigenpairs(
     (0, indicator of vertex 0) plus each component's spectral radius.
     Single-vertex indicators are eigenvectors only because a support of
     size 1 cannot cover the k-1 >= 2 off-positions of any edge.
+
+    ``radius``, when given, is ``spectral_radius(kind, h, opts)`` already
+    computed by the caller; it is reused instead of being computed again.
     """
     if h.k < 3:
         raise ValueError(f"structural eigenpairs need k >= 3, got k={h.k}")
@@ -303,17 +291,20 @@ def structural_eigenpairs(
             e_j = np.zeros(h.n)
             e_j[j] = 1.0
             pairs.append((float(h.degrees[j]), e_j))
-        pairs.extend(_polished_component_radii(kind, h, opts))
+        pairs.extend(_polished_component_radii(kind, h, opts, radius))
     else:
         e_0 = np.zeros(h.n)
         e_0[0] = 1.0
         pairs.append((0.0, e_0))
-        pairs.extend(_polished_component_radii(kind, h, opts))
+        pairs.extend(_polished_component_radii(kind, h, opts, radius))
     return tuple(verify_eigenpair(kind, h, lam, x) for lam, x in pairs)
 
 
 def _polished_component_radii(
-    kind: TensorKind, h: Hypergraph, opts: PowerOptions | None
+    kind: TensorKind,
+    h: Hypergraph,
+    opts: PowerOptions | None,
+    radius: SpectralRadiusResult | None,
 ) -> list[tuple[float, np.ndarray]]:
     """Per-component radius pairs, Newton-polished inside each component.
 
@@ -322,7 +313,7 @@ def _polished_component_radii(
     polish would stall at the power iteration's residual.
     """
     out: list[tuple[float, np.ndarray]] = []
-    sr = spectral_radius(kind, h, opts)
+    sr = radius if radius is not None else spectral_radius(kind, h, opts)
     for comp in sr.components:
         sub = _restrict(h, comp.vertices)
         xs = np.asarray(comp.vector)[list(comp.vertices)]

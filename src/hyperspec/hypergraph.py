@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -39,18 +42,40 @@ class Hypergraph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        """Read-only int64 array of shape (m, k); row e holds the vertices of edge e."""
+        idx = np.array(self.edges, dtype=np.int64).reshape(self.m, self.k)
+        idx.setflags(write=False)
+        return idx
+
+    @cached_property
+    def degree_vector(self) -> np.ndarray:
+        """Read-only float64 array of the vertex degrees."""
+        d = np.array(self.degrees, dtype=np.float64)
+        d.setflags(write=False)
+        return d
+
     @classmethod
     def from_edges(cls, k: int, n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
         """Validate and build a hypergraph from an edge list.
 
         Raises ValueError on any structural violation: bad cardinality,
         repeated vertex inside an edge, vertex out of range, duplicate
-        edge, or an isolated vertex.
+        edge, or an isolated vertex.  A vertex count above k*m is rejected
+        before anything of size n is allocated.
         """
         if k < 2:
             raise ValueError(f"edge cardinality k must be at least 2, got {k}")
         if n < k:
             raise ValueError(f"vertex count n={n} is smaller than k={k}")
+        edges = list(edges)
+        if not edges:
+            raise ValueError("hypergraph must have at least one edge")
+        if n > k * len(edges):
+            raise ValueError(
+                f"vertex count n={n} exceeds k*m={k * len(edges)}, so some vertex is isolated"
+            )
         normalized: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
         degrees = [0] * n
@@ -68,8 +93,6 @@ class Hypergraph:
             normalized.append(vs)
             for v in vs:
                 degrees[v] += 1
-        if not normalized:
-            raise ValueError("hypergraph must have at least one edge")
         for v, d in enumerate(degrees):
             if d == 0:
                 raise ValueError(f"vertex {v} is isolated (degree 0)")
@@ -86,7 +109,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     header: tuple[int, int, int] | None = None
     header_line = 0
     raw_edges: list[tuple[int, ...]] = []
-    edge_lines: list[int] = []
+    seen: set[tuple[int, ...]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -119,10 +142,10 @@ def parse_hypergraph(text: str) -> Hypergraph:
         if len(set(ids)) != k:
             raise ParseError(line_no, "edge repeats a vertex")
         edge = tuple(sorted(v - 1 for v in ids))
-        if edge in set(raw_edges):
+        if edge in seen:
             raise ParseError(line_no, f"duplicate edge {tuple(v + 1 for v in edge)}")
+        seen.add(edge)
         raw_edges.append(edge)
-        edge_lines.append(line_no)
     if header is None:
         raise ParseError(1, "empty input, expected 'k n m' header")
     k, n, m = header

@@ -17,7 +17,7 @@ import numpy as np
 from .connectivity import project_simplex
 from .eigen import Classification, EigenPair, normalize_eigenvector, verify_eigenpair
 from .hypergraph import Hypergraph
-from .tensor_ops import TensorKind, apply, form, _edge_index
+from .tensor_ops import TensorKind, apply, form
 
 DEDUP_RADIUS = 1e-6
 NEWTON_RESIDUAL_TOL = 1e-13
@@ -267,7 +267,7 @@ def _compositions(parts: int, total: int):
 
 def _batch_forms(kind: TensorKind, h: Hypergraph, X: np.ndarray) -> np.ndarray:
     """Form values for every row of X at once."""
-    Xe = X[:, _edge_index(h)]
+    Xe = X[:, h.edge_index]
     prods = Xe.prod(axis=2)
     if kind is TensorKind.ADJACENCY:
         contrib = h.k * prods

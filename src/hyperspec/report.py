@@ -151,7 +151,9 @@ def radius_block(res: SpectralRadiusResult, tol: float) -> dict:
     }
 
 
-def structural_block(kind: TensorKind, h: Hypergraph, opts: PowerOptions) -> list[dict]:
+def structural_block(
+    kind: TensorKind, h: Hypergraph, radius: SpectralRadiusResult | None = None
+) -> list[dict]:
     return [
         {
             "value": p.value,
@@ -159,7 +161,7 @@ def structural_block(kind: TensorKind, h: Hypergraph, opts: PowerOptions) -> lis
             "residual": p.residual,
             "vector": _vec(p.vector),
         }
-        for p in structural_eigenpairs(kind, h, opts)
+        for p in structural_eigenpairs(kind, h, radius=radius)
     ]
 
 
@@ -215,7 +217,6 @@ def assemble_report(
     power_opts: PowerOptions,
     alpha_opts: AlphaOptions,
     alpha_max_iter: int,
-    threads: int,
 ) -> tuple[dict, bool, bool]:
     """Full analysis of one hypergraph.
 
@@ -237,7 +238,6 @@ def assemble_report(
             "alpha_max_iter": a_opts.max_iter,
             "starts": a_opts.starts,
             "seed": a_opts.seed,
-            "threads": threads,
         },
         "graph": graph_summary(h),
         "spectral": {
@@ -246,9 +246,9 @@ def assemble_report(
         },
         "structural": (
             {
-                "adjacency": structural_block(TensorKind.ADJACENCY, h, power_opts),
-                "laplacian": structural_block(TensorKind.LAPLACIAN, h, power_opts),
-                "signless_laplacian": structural_block(TensorKind.SIGNLESS_LAPLACIAN, h, power_opts),
+                "adjacency": structural_block(TensorKind.ADJACENCY, h, adj),
+                "laplacian": structural_block(TensorKind.LAPLACIAN, h),
+                "signless_laplacian": structural_block(TensorKind.SIGNLESS_LAPLACIAN, h, sig),
             }
             if h.k >= 3
             else {"note": "structural eigenpairs need k >= 3"}

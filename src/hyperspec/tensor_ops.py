@@ -14,42 +14,28 @@ and a single edge e contributes to the homogeneous form T x^k
     Q: sum_{j in e} x_j^k + k * prod_{j in e} x_j
 
 so every operation here costs O(m k), not O(n^k).
+
+Accuracy: ``apply`` scatters the m*k leave-one-out products with one
+``np.bincount``, which adds the d(i) terms of vertex i one after another in
+float64, so its rounding error is at most (d(i) - 1) * u * sum |terms| with
+u = 2**-53.  ``form`` adds the m edge contributions with numpy's pairwise
+sum, whose error grows like log2(m) * u rather than m * u.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .hypergraph import Hypergraph
 
-# beyond this edge count plain float64 accumulation gives way to exact
-# per-vertex compensated sums
-KAHAN_EDGE_THRESHOLD = 10_000
-
 
 class TensorKind(Enum):
     ADJACENCY = "adjacency"
     LAPLACIAN = "laplacian"
     SIGNLESS_LAPLACIAN = "signless_laplacian"
-
-
-@lru_cache(maxsize=512)
-def _edge_index(h: Hypergraph) -> np.ndarray:
-    idx = np.array(h.edges, dtype=np.int64)
-    idx.setflags(write=False)
-    return idx
-
-
-@lru_cache(maxsize=512)
-def _degree_vector(h: Hypergraph) -> np.ndarray:
-    d = np.array(h.degrees, dtype=np.float64)
-    d.setflags(write=False)
-    return d
 
 
 def as_vector(h: Hypergraph, x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -80,38 +66,38 @@ def _leave_one_out_products(xe: np.ndarray) -> np.ndarray:
     return pref * suff
 
 
-def _scatter_add(n: int, idx: np.ndarray, vals: np.ndarray, compensated: bool) -> np.ndarray:
-    out = np.zeros(n)
-    if not compensated:
-        np.add.at(out, idx, vals)
-        return out
-    flat_i = idx.ravel()
-    flat_v = vals.ravel()
-    order = np.argsort(flat_i, kind="stable")
-    fi = flat_i[order]
-    fv = flat_v[order]
-    starts = np.searchsorted(fi, np.arange(n), side="left")
-    ends = np.searchsorted(fi, np.arange(n), side="right")
-    for v in range(n):
-        if starts[v] < ends[v]:
-            out[v] = math.fsum(fv[starts[v]:ends[v]])
-    return out
-
-
 def apply(kind: TensorKind, h: Hypergraph, x: Sequence[float] | np.ndarray) -> np.ndarray:
     """Evaluate T x^{k-1} for T in {A, L, Q} without forming the tensor."""
     v = as_vector(h, x)
-    idx = _edge_index(h)
+    idx = h.edge_index
     loo = _leave_one_out_products(v[idx])
-    a = _scatter_add(h.n, idx, loo, compensated=h.m > KAHAN_EDGE_THRESHOLD)
+    a = np.bincount(idx.ravel(), weights=loo.ravel(), minlength=h.n)
     if kind is TensorKind.ADJACENCY:
         return a
-    dxk = _degree_vector(h) * v ** (h.k - 1)
+    dxk = h.degree_vector * v ** (h.k - 1)
     if kind is TensorKind.LAPLACIAN:
         return dxk - a
     if kind is TensorKind.SIGNLESS_LAPLACIAN:
         return dxk + a
     raise ValueError(f"unknown tensor kind {kind!r}")
+
+
+def adjacency_jacobian(h: Hypergraph, x: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Dense J[i, l] = d(A x^{k-1})_i / dx_l, zero on the diagonal.
+
+    Each edge adds, for every ordered pair (i, l) of its distinct vertices,
+    the product of its other k - 2 entries to J[i, l]; the k(k-1) pairs of
+    all m edges land in the n*n cells through one ``np.bincount``.
+    """
+    v = as_vector(h, x)
+    n, k = h.n, h.k
+    idx = h.edge_index
+    pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
+    first, second = np.array(pairs, dtype=np.int64).T
+    others = np.array([[r for r in range(k) if r not in p] for p in pairs], dtype=np.int64)
+    prods = v[idx][:, others].prod(axis=2)
+    cells = idx[:, first] * n + idx[:, second]
+    return np.bincount(cells.ravel(), weights=prods.ravel(), minlength=n * n).reshape(n, n)
 
 
 def _edge_contributions(kind: TensorKind, k: int, xe: np.ndarray) -> np.ndarray:
@@ -129,10 +115,7 @@ def _edge_contributions(kind: TensorKind, k: int, xe: np.ndarray) -> np.ndarray:
 def form(kind: TensorKind, h: Hypergraph, x: Sequence[float] | np.ndarray) -> float:
     """Evaluate the scalar form T x^k = <x, T x^{k-1}>."""
     v = as_vector(h, x)
-    contrib = _edge_contributions(kind, h.k, v[_edge_index(h)])
-    if h.m > KAHAN_EDGE_THRESHOLD:
-        return math.fsum(contrib)
-    return float(contrib.sum())
+    return float(_edge_contributions(kind, h.k, v[h.edge_index]).sum())
 
 
 def edge_form(kind: TensorKind, edge: Sequence[int], x: Sequence[float] | np.ndarray) -> float:

@@ -258,20 +258,3 @@ def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path, hub_file):
     assert code == 0
     assert out == "" and err == ""
     assert json.loads(dest.read_text())["graph"]["n"] == 8
-
-
-# ---------------------------------------------------------------- environment
-
-
-@pytest.mark.parametrize("raw", ["0", "-3", "abc"])
-def test_bad_thread_env_exits_2(capsys, monkeypatch, hub_file, raw):
-    monkeypatch.setenv("HYPERSPEC_THREADS", raw)
-    code, _, err = run(capsys, ["info", hub_file])
-    assert code == 2
-    assert "HYPERSPEC_THREADS" in err
-
-
-def test_valid_thread_env_accepted(capsys, monkeypatch, hub_file):
-    monkeypatch.setenv("HYPERSPEC_THREADS", "2")
-    code, _, _ = run(capsys, ["info", hub_file])
-    assert code == 0

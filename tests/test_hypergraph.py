@@ -47,6 +47,7 @@ def test_parse_ignores_blank_lines_and_comments():
         ("3 4 2\n1 2 x\n2 3 4\n", 2),  # non-integer token
         ("3 4 2\n1 2 3\n1 2 3\n", 3),  # duplicate edge
         ("3 5 2\n1 2 3\n2 3 4\n", 1),  # isolated vertex reported at header
+        ("3 1000000000 1\n1 2 3\n", 1),  # n > k*m is rejected before allocating n
     ],
 )
 def test_parse_errors_name_the_offending_line(text, bad_line):
@@ -74,6 +75,10 @@ def test_from_edges_sorts_and_validates():
         Hypergraph.from_edges(3, 4, [(0, 1, 4)])
     with pytest.raises(ValueError):
         Hypergraph.from_edges(3, 5, [(0, 1, 2), (1, 2, 3)])  # vertex 4 isolated
+    with pytest.raises(ValueError, match="outside"):
+        Hypergraph.from_edges(3, 3, [(0, 1, 3)])
+    with pytest.raises(ValueError, match=r"exceeds k\*m"):
+        Hypergraph.from_edges(3, 10**9, [(0, 1, 2)])  # rejected before any O(n) allocation
 
 
 def test_degree_stats_on_hub_graph(hub_graph):
