@@ -108,7 +108,9 @@ def verify_eigenpair(
 
 
 def _restrict(h: Hypergraph, vertices: tuple[int, ...]) -> Hypergraph:
-    """Sub-hypergraph induced by one connected component."""
+    """Sub-hypergraph induced by one connected component (``h`` itself for all of it)."""
+    if len(vertices) == h.n:  # components are sorted, so this is range(n)
+        return h
     remap = {v: i for i, v in enumerate(vertices)}
     vset = set(vertices)
     edges = [tuple(remap[v] for v in e) for e in h.edges if set(e) <= vset]

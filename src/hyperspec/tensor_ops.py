@@ -15,6 +15,11 @@ and a single edge e contributes to the homogeneous form T x^k
 
 so every operation here costs O(m k), not O(n^k).
 
+``apply`` and ``form`` also take a (B, n) stack of row vectors and evaluate
+every row in the same calls: ``apply`` then runs its one ``np.bincount``
+over the row-offset indices b*n + i, so row b of the result holds exactly
+the floats the 1-D call on row b would give.
+
 Accuracy: ``apply`` scatters the m*k leave-one-out products with one
 ``np.bincount``, which adds the d(i) terms of vertex i one after another in
 float64, so its rounding error is at most (d(i) - 1) * u * sum |terms| with
@@ -48,6 +53,16 @@ def as_vector(h: Hypergraph, x: Sequence[float] | np.ndarray) -> np.ndarray:
     return v
 
 
+def _as_rows(h: Hypergraph, x: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``as_vector`` for one vector; a (B, h.n) stack of finite float64 rows otherwise."""
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim != 2:
+        return as_vector(h, v)
+    if v.shape[1] != h.n or not np.all(np.isfinite(v)):
+        raise ValueError(f"rows have shape {v.shape} or non-finite entries, expected finite (B, {h.n})")
+    return v
+
+
 def elementwise_power(x: np.ndarray, r: int) -> np.ndarray:
     """x^{[r]}: raise every entry to the integer power r >= 1."""
     if not isinstance(r, (int, np.integer)) or r < 1:
@@ -56,22 +71,28 @@ def elementwise_power(x: np.ndarray, r: int) -> np.ndarray:
 
 
 def _leave_one_out_products(xe: np.ndarray) -> np.ndarray:
-    """Row-wise products prod_{j != i} xe[:, j], by prefix/suffix (no division)."""
-    _, k = xe.shape
+    """Products prod_{j != i} xe[..., j] along the last axis, by prefix/suffix (no division)."""
+    k = xe.shape[-1]
     pref = np.ones_like(xe)
     suff = np.ones_like(xe)
     for j in range(1, k):
-        pref[:, j] = pref[:, j - 1] * xe[:, j - 1]
-        suff[:, k - 1 - j] = suff[:, k - j] * xe[:, k - j]
+        pref[..., j] = pref[..., j - 1] * xe[..., j - 1]
+        suff[..., k - 1 - j] = suff[..., k - j] * xe[..., k - j]
     return pref * suff
 
 
 def apply(kind: TensorKind, h: Hypergraph, x: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Evaluate T x^{k-1} for T in {A, L, Q} without forming the tensor."""
-    v = as_vector(h, x)
+    """Evaluate T x^{k-1} for T in {A, L, Q} without forming the tensor.
+
+    ``x`` is one vector or a (B, n) stack of rows; the result has its shape.
+    """
+    v = _as_rows(h, x)
     idx = h.edge_index
-    loo = _leave_one_out_products(v[idx])
-    a = np.bincount(idx.ravel(), weights=loo.ravel(), minlength=h.n)
+    loo = _leave_one_out_products(np.take(v, idx, axis=-1))
+    cells = idx.ravel()
+    if v.ndim == 2:
+        cells = (np.arange(v.shape[0])[:, None] * h.n + cells).ravel()
+    a = np.bincount(cells, weights=loo.ravel(), minlength=v.size).reshape(v.shape)
     if kind is TensorKind.ADJACENCY:
         return a
     dxk = h.degree_vector * v ** (h.k - 1)
@@ -101,10 +122,10 @@ def adjacency_jacobian(h: Hypergraph, x: Sequence[float] | np.ndarray) -> np.nda
 
 
 def _edge_contributions(kind: TensorKind, k: int, xe: np.ndarray) -> np.ndarray:
-    prods = xe.prod(axis=1)
+    prods = xe.prod(axis=-1)
     if kind is TensorKind.ADJACENCY:
         return k * prods
-    sums = (xe ** k).sum(axis=1)
+    sums = (xe ** k).sum(axis=-1)
     if kind is TensorKind.LAPLACIAN:
         return sums - k * prods
     if kind is TensorKind.SIGNLESS_LAPLACIAN:
@@ -112,10 +133,18 @@ def _edge_contributions(kind: TensorKind, k: int, xe: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown tensor kind {kind!r}")
 
 
-def form(kind: TensorKind, h: Hypergraph, x: Sequence[float] | np.ndarray) -> float:
-    """Evaluate the scalar form T x^k = <x, T x^{k-1}>."""
-    v = as_vector(h, x)
-    return float(_edge_contributions(kind, h.k, v[h.edge_index]).sum())
+def form(
+    kind: TensorKind, h: Hypergraph, x: Sequence[float] | np.ndarray
+) -> float | np.ndarray:
+    """Evaluate the scalar form T x^k = <x, T x^{k-1}>.
+
+    For a (B, n) stack of rows ``x`` the result is the (B,) array of row forms.
+    """
+    v = _as_rows(h, x)
+    # np.take keeps each row's edge entries contiguous, so every row sum is the
+    # same pairwise sum a 1-D call makes
+    sums = _edge_contributions(kind, h.k, np.take(v, h.edge_index, axis=-1)).sum(axis=-1)
+    return sums if v.ndim == 2 else float(sums)
 
 
 def edge_form(kind: TensorKind, edge: Sequence[int], x: Sequence[float] | np.ndarray) -> float:

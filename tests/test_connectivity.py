@@ -10,6 +10,7 @@ from hyperspec import (
     Hypergraph,
     TensorKind,
     analytic_connectivity,
+    apply,
     connectivity_bound_report,
     cut_numbers,
     degree_stats,
@@ -20,6 +21,9 @@ from hyperspec import (
     solve_beta,
     summation_law_check,
 )
+
+from hyperspec import connectivity
+from hyperspec.connectivity import project_simplex
 
 from conftest import random_connected, single_edge
 
@@ -120,6 +124,141 @@ def test_alpha_at_most_min_degree_on_random_graphs():
         cert = analytic_connectivity(h, AlphaOptions(starts=4, seed=1))
         assert cert.alpha <= dmin + 1e-9
         assert cert.alpha >= -1e-12
+
+
+def test_k2_per_pin_values_match_deleted_laplacian_eigenvalues():
+    # at k = 2 the slice pinned at j minimizes x^T L_j x over the nonnegative
+    # unit sphere, with L_j the Laplacian minus row and column j; L_j is a
+    # Z-matrix, so a nonnegative eigenvector attains its smallest eigenvalue
+    rng = np.random.default_rng(45)
+    for _ in range(8):
+        n = int(rng.integers(3, 13))
+        h = random_connected(rng, 2, n, max_extra=int(rng.integers(0, 2 * n)))
+        lap = np.diag(h.degree_vector)
+        for a, b in h.edges:
+            lap[a, b] = lap[b, a] = -1.0
+        cert = analytic_connectivity(h, FAST)
+        for j in range(n):
+            keep = [i for i in range(n) if i != j]
+            exact = np.linalg.eigvalsh(lap[np.ix_(keep, keep)])[0]
+            assert cert.per_vertex_values[j] == pytest.approx(exact, abs=1e-8), (h.edges, j)
+
+
+def golden_graph(request, name: str) -> Hypergraph:
+    """A conftest fixture by name, or one of the seeded graphs below."""
+    seeded = {
+        "k3": lambda: random_connected(np.random.default_rng(31), 3, 7),
+        "k4": lambda: random_connected(np.random.default_rng(41), 4, 7),
+        "union": lambda: disjoint_union(
+            random_connected(np.random.default_rng(51), 3, 5),
+            random_connected(np.random.default_rng(52), 3, 4),
+        ),
+    }
+    return seeded[name]() if name in seeded else request.getfixturevalue(name)
+
+
+# (per_vertex_values, pinned_vertex, converged) under FAST, as recorded from
+# the solver that ran one (pin, start) pair at a time
+GOLDEN_PER_PIN = {
+    "two_edge_path": ((0.5344287681232319, 1.0000000000000002, 1.0, 0.5344287681232319), 0, True),
+    "hub_graph": (
+        (
+            0.43004588548866324,
+            0.4300458854886635,
+            0.4300458854886633,
+            1.0,
+            1.0,
+            0.43004588548866324,
+            0.4300458854886634,
+            0.43004588548866346,
+        ),
+        0,
+        True,
+    ),
+    "k3": (
+        (
+            0.540722736015907,
+            1.0,
+            0.5233502414144724,
+            0.9309770039598858,
+            0.7014321150905568,
+            0.288023417897906,
+            0.5407227360159075,
+        ),
+        5,
+        True,
+    ),
+    "k4": (
+        (
+            1.300722474474469,
+            0.914960279889127,
+            1.2561816512613138,
+            2.000000000000001,
+            1.8261310712457852,
+            0.8626111352247159,
+            1.262796899816483,
+        ),
+        5,
+        True,
+    ),
+    "union": ((0.0,) * 9, 0, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PER_PIN))
+def test_batched_solver_matches_recorded_per_pin_values(name, request):
+    cert = analytic_connectivity(golden_graph(request, name), FAST)
+    values, pinned, converged = GOLDEN_PER_PIN[name]
+    assert cert.per_vertex_values == pytest.approx(values, abs=1e-12)
+    assert cert.pinned_vertex == pinned
+    assert cert.converged is converged
+
+
+@pytest.mark.parametrize("name, rows", [("hub_graph", 2), ("union", 1), ("union", 3)])
+def test_working_set_capacity_does_not_change_the_answer(name, rows, request, monkeypatch):
+    # one live row at a time is the start-by-start order; a few rows force
+    # refills and, on the union, drops of rows after a start that reached 0
+    h = golden_graph(request, name)
+    want = analytic_connectivity(h, FAST)
+    monkeypatch.setattr(connectivity, "ROW_ENTRY_CAP", rows * h.m * h.k)
+    got = analytic_connectivity(h, FAST)
+    assert got.per_vertex_values == want.per_vertex_values
+    assert np.array_equal(got.minimizer, want.minimizer)
+    assert got.converged == want.converged
+
+
+def test_project_simplex_rows_match_one_dimensional_calls():
+    rng = np.random.default_rng(85)
+    v = rng.normal(size=(40, 9)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1))
+    rows = project_simplex(v)
+    for r in range(v.shape[0]):
+        assert np.array_equal(rows[r], project_simplex(v[r]))
+        assert rows[r].min() >= 0.0
+        assert rows[r].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_kkt_residual_matches_loop_reference():
+    def loop_residual(h, pinned, x, mu):
+        r = apply(TensorKind.LAPLACIAN, h, x) - mu * x ** (h.k - 1)
+        worst = 0.0
+        for i in range(h.n):
+            if i == pinned:
+                continue
+            if x[i] > 0.0:
+                worst = max(worst, abs(float(r[i])))
+            else:
+                worst = max(worst, max(0.0, -float(r[i])))
+        return worst
+
+    rng = np.random.default_rng(95)
+    for _ in range(20):
+        k = int(rng.integers(2, 5))
+        h = random_connected(rng, k, int(rng.integers(k + 1, 10)))
+        x = rng.random(h.n) * (rng.random(h.n) < 0.7)
+        pinned = int(rng.integers(h.n))
+        x[pinned] = 0.0
+        mu = float(rng.random())
+        assert connectivity._kkt_residual(h, pinned, x, mu) == loop_residual(h, pinned, x, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from hyperspec import (
     verify_eigenpair,
 )
 
+from hyperspec.eigen import _restrict
+
 from conftest import random_connected, single_edge
 
 # Frozen anchors for the hub graph, obtained from the Collatz-Wielandt
@@ -172,6 +174,13 @@ def test_disjoint_union_radius_is_componentwise_max(hub_graph, two_edge_path):
         assert len(whole.components) == 2
         got = sorted(c.value for c in whole.components)
         assert got == pytest.approx(sorted(parts), abs=2e-10)
+
+
+def test_connected_graph_is_its_own_component_subgraph(hub_graph, two_edge_path):
+    assert _restrict(hub_graph, tuple(range(hub_graph.n))) is hub_graph
+    u = disjoint_union(hub_graph, two_edge_path)
+    part = _restrict(u, tuple(range(hub_graph.n, u.n)))
+    assert part.edges == two_edge_path.edges
 
 
 def test_nonconvergence_is_reported_not_raised(hub_graph):

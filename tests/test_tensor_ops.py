@@ -220,6 +220,33 @@ def test_apply_rejects_bad_vectors(hub_graph):
             apply(kind, hub_graph, np.array([1.0, np.inf, 1, 1, 1, 1, 1, 1]))
 
 
+def test_row_stacks_match_one_dimensional_calls():
+    # row b of a (B, n) call scatters with indices offset by b * n, so it
+    # must reproduce the 1-D call on row b bit for bit
+    rng = np.random.default_rng(105)
+    for _ in range(12):
+        k = int(rng.integers(2, 6))
+        h = random_connected(rng, k, int(rng.integers(k + 1, 14)), max_extra=40)
+        rows = rng.random((5, h.n)) * (rng.random((5, h.n)) < 0.8)
+        for kind in ALL_KINDS:
+            stacked = apply(kind, h, rows)
+            forms = form(kind, h, rows)
+            assert stacked.shape == rows.shape
+            assert forms.shape == (5,)
+            for b in range(5):
+                assert np.array_equal(stacked[b], apply(kind, h, rows[b]))
+                assert forms[b] == form(kind, h, rows[b])
+
+
+def test_row_stacks_reject_bad_rows(hub_graph):
+    with pytest.raises(ValueError):
+        apply(TensorKind.LAPLACIAN, hub_graph, np.ones((3, 7)))
+    with pytest.raises(ValueError):
+        form(TensorKind.LAPLACIAN, hub_graph, np.full((2, 8), np.nan))
+    with pytest.raises(ValueError):
+        apply(TensorKind.LAPLACIAN, hub_graph, np.ones((2, 2, 8)))
+
+
 def test_compensated_summation_path_agrees_with_reference():
     # over 10,000 edges a vertex collects hundreds of terms in one scatter;
     # the sequential float64 sum must still agree with the naive reference
