@@ -69,7 +69,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_spectral(args: argparse.Namespace) -> int:
     h = _load(args.file)
-    opts = PowerOptions(tol=args.tol, max_iter=args.max_iter or 100_000)
+    opts = PowerOptions(tol=args.tol, max_iter=args.max_iter)
     results = {}
     if args.kind in ("A", "all"):
         results["adjacency_radius"] = spectral_radius(TensorKind.ADJACENCY, h, opts)
@@ -118,7 +118,7 @@ def cmd_spectral(args: argparse.Namespace) -> int:
 
 def cmd_alpha(args: argparse.Namespace) -> int:
     h = _load(args.file)
-    opts = AlphaOptions(starts=args.starts, seed=args.seed, max_iter=args.max_iter or 1500)
+    opts = AlphaOptions(starts=args.starts, seed=args.seed, max_iter=args.max_iter)
     cert = analytic_connectivity(h, opts)
     connected = is_connected(h)
     if args.json:
@@ -181,13 +181,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     h = _load(args.file)
-    power_opts = PowerOptions(tol=args.tol, max_iter=args.max_iter or 100_000)
+    power_opts = PowerOptions(tol=args.tol, max_iter=args.max_iter)
     alpha_opts = AlphaOptions(starts=args.starts, seed=args.seed)
-    report, all_hold, converged = assemble_report(h, power_opts, alpha_opts, alpha_max_iter=1500)
+    report, all_hold, converged = assemble_report(h, power_opts, alpha_opts)
     _emit(report, args.out)
     if not converged:
         return EXIT_NO_CONVERGENCE
     return EXIT_OK if all_hold else EXIT_BOUND_FAILED
+
+
+def _iteration_cap(text: str) -> int:
+    """``--max-iter`` value: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,39 +205,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, starts: bool = False) -> None:
+    flags = {
+        "--json": dict(action="store_true", help="emit JSON instead of text"),
+        "--tol": dict(type=float, default=1e-10, help="solver tolerance"),
+        "--max-iter": dict(type=_iteration_cap, help="solver iteration cap (at least 1)"),
+        "--starts": dict(type=int, default=32, help="random starts per pinned vertex"),
+        "--seed": dict(type=int, default=0, help="random seed"),
+    }
+
+    def common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("file", help=".khg input file")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-        p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
-        p.add_argument("--max-iter", type=int, default=None, help="solver iteration cap")
-        if starts:
-            p.add_argument("--starts", type=int, default=32, help="random starts per pinned vertex")
-            p.add_argument("--seed", type=int, default=0, help="random seed")
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p_info = sub.add_parser("info", help="parse and summarize the hypergraph")
-    common(p_info)
+    common(p_info, "--json")
     p_info.set_defaults(func=cmd_info)
 
     p_spec = sub.add_parser("spectral", help="spectral radii, structural pairs, degree bounds")
-    common(p_spec)
+    common(p_spec, "--json", "--tol", "--max-iter")
     p_spec.add_argument("--kind", choices=["A", "Q", "all"], default="all")
-    p_spec.set_defaults(func=cmd_spectral, max_iter_default=100_000)
+    p_spec.set_defaults(func=cmd_spectral, max_iter=PowerOptions().max_iter)
 
     p_alpha = sub.add_parser("alpha", help="analytic connectivity by pinned-slice minimization")
-    common(p_alpha, starts=True)
-    p_alpha.set_defaults(func=cmd_alpha)
+    common(p_alpha, "--json", "--max-iter", "--starts", "--seed")
+    p_alpha.set_defaults(func=cmd_alpha, max_iter=AlphaOptions().max_iter)
 
     p_verify = sub.add_parser("verify", help="verify and classify one claimed eigenpair")
-    common(p_verify)
+    common(p_verify, "--json", "--tol")
     p_verify.add_argument("--kind", choices=["A", "L", "Q"], required=True)
     p_verify.add_argument("--lambda", dest="lam", type=float, required=True)
     p_verify.add_argument("--x", required=True, help="comma-separated vector entries")
     p_verify.set_defaults(func=cmd_verify)
 
     p_report = sub.add_parser("report", help="full JSON report: spectra, alpha, cuts, checks")
-    common(p_report, starts=True)
-    p_report.set_defaults(func=cmd_report)
+    common(p_report, "--tol", "--max-iter", "--starts", "--seed")
+    p_report.set_defaults(func=cmd_report, max_iter=PowerOptions().max_iter)
 
     return parser
 

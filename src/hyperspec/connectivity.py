@@ -5,7 +5,8 @@ of the Laplacian form L x^k over the slice {x >= 0, sum x_i^k = 1, x_j = 0},
 minimized over j.  The substitution u_i = x_i^k turns each slice into the
 probability simplex over the free coordinates; the solver runs projected
 gradient descent there from several starts per pin and then polishes each
-pin's winner with a Newton step on the first-order optimality system.
+pin's winner with ``eigen.newton_polish``: on its support a slice minimizer
+is an H+ eigenvector of L whose eigenvalue is the form value.
 Because the method only descends, the reported value is an upper bound on
 the true minimum; the certificate says so explicitly.
 
@@ -33,15 +34,14 @@ against ``max_iter``.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .eigen import BoundCheck, BoundReport, make_check
+from .eigen import BoundCheck, BoundReport, make_check, newton_polish
 from .hypergraph import Hypergraph, components, degree_stats, is_connected
-from .tensor_ops import TensorKind, adjacency_jacobian, apply, form
+from .tensor_ops import TensorKind, apply, form
 
 # clamp for free coordinates inside gradient evaluation
 EPS_U = 1e-14
@@ -255,10 +255,10 @@ def _pinned_minima(h: Hypergraph, opts: AlphaOptions) -> list[tuple[float, np.nd
         for s, u0 in enumerate(_start_points(h, comps, j, opts))
         if s <= cutoff[j]
     )
-    # retired runs of a pin wait here until all its earlier starts have retired
-    waiting: list[dict[int, tuple[float, np.ndarray, bool]]] = [{} for _ in range(n)]
-    walked = [0] * n
-    best: list[tuple[float, np.ndarray, bool] | None] = [None] * n
+    # (key, run) of each pin's best run so far; the smallest key is the run
+    # that walking the starts in order picks: the first start at or below
+    # ZERO_VALUE, else the first strict minimum
+    best: list[tuple[tuple, tuple[float, np.ndarray, bool]] | None] = [None] * n
 
     def retire(ended: _Runs) -> None:
         u_free = np.where(ended.u < ZERO_SNAP, 0.0, ended.u)
@@ -272,18 +272,9 @@ def _pinned_minima(h: Hypergraph, opts: AlphaOptions) -> list[tuple[float, np.nd
         ):
             if val <= ZERO_VALUE:
                 cutoff[j] = min(cutoff[j], s)
-            if s > cutoff[j]:
-                continue
-            waiting[j][s] = (val, row.copy(), conv)
-            # walk the starts in order: first strict minimum, stop at the first zero
-            while walked[j] in waiting[j]:
-                run = waiting[j].pop(walked[j])
-                walked[j] += 1
-                if best[j] is None or run[0] < best[j][0]:
-                    best[j] = run
-                if best[j][0] <= ZERO_VALUE:
-                    waiting[j].clear()
-                    break
+            key = (0, s) if val <= ZERO_VALUE else (1, val, s)
+            if best[j] is None or key < best[j][0]:
+                best[j] = (key, (val, row.copy(), conv))
 
     def enter(rows: list[tuple[int, int, np.ndarray]]) -> _Runs:
         pin = np.array([r[0] for r in rows], dtype=np.int64)
@@ -312,8 +303,7 @@ def _pinned_minima(h: Hypergraph, opts: AlphaOptions) -> list[tuple[float, np.nd
                 runs = runs.extend(enter(fresh))
             continue
         _descent_step(h, runs)
-    assert all(b is not None for b in best)
-    return best  # type: ignore[return-value]
+    return [b[1] for b in best]  # type: ignore[index]
 
 
 def _kkt_residual(h: Hypergraph, pinned: int, x: np.ndarray, mu: float) -> float:
@@ -329,60 +319,6 @@ def _kkt_residual(h: Hypergraph, pinned: int, x: np.ndarray, mu: float) -> float
     return max(0.0, float(defect.max()))
 
 
-def _polish_support(
-    h: Hypergraph, pinned: int, u_full: np.ndarray
-) -> tuple[float, np.ndarray] | None:
-    """Newton refinement of the stationarity system on the support of u.
-
-    Solves (L x^{k-1})_i = mu x_i^{k-1} on the support together with
-    sum x_i^k = 1, then renormalizes.  A coordinate that a step takes to 0 or
-    below is set to 0 and leaves the support, so trace mass the descent left
-    on a vertex that belongs outside the minimizer's support does not sink
-    the polish.  Returns None when a solve fails, the iterate stops being
-    finite, or every coordinate leaves.
-    """
-    k = h.k
-    supp = np.flatnonzero(u_full > 0.0)
-    if supp.size == 0 or pinned in supp:
-        return None
-    x = np.maximum(u_full, 0.0) ** (1.0 / k)
-    mu = form(TensorKind.LAPLACIAN, h, x)
-    d = h.degree_vector
-    for _ in range(20):
-        lx = apply(TensorKind.LAPLACIAN, h, x)
-        xkm1 = x ** (k - 1)
-        F = np.append(lx[supp] - mu * xkm1[supp], (x ** k).sum() - 1.0)
-        if np.abs(F).max() < 1e-14:
-            break
-        # Jacobian over (x_supp, mu)
-        JA = adjacency_jacobian(h, x)[np.ix_(supp, supp)]
-        diag = (k - 1) * x[supp] ** (k - 2)
-        J = np.zeros((supp.size + 1, supp.size + 1))
-        J[: supp.size, : supp.size] = np.diag((d[supp] - mu) * diag) - JA
-        J[: supp.size, -1] = -xkm1[supp]
-        J[-1, : supp.size] = k * xkm1[supp]
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            return None
-        x = x.copy()
-        x[supp] += delta[:-1]
-        mu += float(delta[-1])
-        if not np.all(np.isfinite(x)):
-            return None
-        # a coordinate the step pushes out of the cone leaves the support
-        out = x[supp] <= 0.0
-        if out.all():
-            return None
-        x[supp[out]] = 0.0
-        supp = supp[~out]
-    norm = float((x ** k).sum())
-    if not math.isfinite(norm) or norm <= 0:
-        return None
-    x = x / norm ** (1.0 / k)
-    return form(TensorKind.LAPLACIAN, h, x), x
-
-
 def analytic_connectivity(
     h: Hypergraph, opts: AlphaOptions | None = None
 ) -> AlphaCertificate:
@@ -395,18 +331,20 @@ def analytic_connectivity(
     working set of at most ROW_ENTRY_CAP // (m k) rows.  Once a run of a pin
     reaches the global lower bound 0 (ZERO_VALUE), the pin's later runs are
     dropped.  Each pin keeps its first strictly smallest run in start order,
-    which is then polished and checked for first-order optimality on its own.
+    which is then Newton-polished on its support (kept only when that does
+    not raise the value by more than 1e-12) and checked for first-order
+    optimality on its own.
     """
     opts = opts or AlphaOptions()
     per_vertex: list[float] = []
     winners: list[tuple[float, np.ndarray, float, bool]] = []
     for j, (val, u, conv) in enumerate(_pinned_minima(h, opts)):
-        polished = _polish_support(h, j, u)
-        if polished is not None and polished[0] <= val + 1e-12:
-            val = polished[0]
-            x = polished[1]
-        else:
-            x = np.maximum(u, 0.0) ** (1.0 / h.k)
+        x = np.maximum(u, 0.0) ** (1.0 / h.k)
+        polished = newton_polish(TensorKind.LAPLACIAN, h, val, x, np.flatnonzero(u > 0.0))
+        if polished is not None:
+            polished_val = form(TensorKind.LAPLACIAN, h, polished[1])
+            if polished_val <= val + 1e-12:
+                val, x = polished_val, polished[1]
         # the form is >= 0 on the slice (AM-GM per edge); dips below are rounding
         val = max(val, 0.0)
         kkt = _kkt_residual(h, j, x, val)
@@ -480,32 +418,6 @@ def _extreme_witness(masks: np.ndarray, sizes: np.ndarray, target: int) -> tuple
     return best
 
 
-def edge_connectivity_bruteforce(h: Hypergraph) -> CutExtremum:
-    """Minimum number of crossing edges over all proper vertex subsets.
-
-    A disconnected graph yields 0 with a component as witness; the flag
-    records that degenerate case.
-    """
-    masks, sizes = _crossing_counts(h)
-    value = int(sizes.min())
-    return CutExtremum(
-        value=value,
-        witness=_extreme_witness(masks, sizes, value),
-        connected=value > 0,
-    )
-
-
-def max_cut_bruteforce(h: Hypergraph) -> CutExtremum:
-    """Maximum number of crossing edges over all proper vertex subsets."""
-    masks, sizes = _crossing_counts(h)
-    value = int(sizes.max())
-    return CutExtremum(
-        value=value,
-        witness=_extreme_witness(masks, sizes, value),
-        connected=is_connected(h),
-    )
-
-
 def cut_numbers(h: Hypergraph) -> CutNumbers:
     """Edge connectivity and max cut with witnesses, by one shared enumeration."""
     masks, sizes = _crossing_counts(h)
@@ -520,11 +432,26 @@ def cut_numbers(h: Hypergraph) -> CutNumbers:
     )
 
 
+def edge_connectivity_bruteforce(h: Hypergraph) -> CutExtremum:
+    """Minimum number of crossing edges over all proper vertex subsets.
+
+    A disconnected graph yields 0 with a component as witness; the flag
+    records that degenerate case.
+    """
+    cuts = cut_numbers(h)
+    return CutExtremum(cuts.edge_connectivity, cuts.min_witness, cuts.connected)
+
+
+def max_cut_bruteforce(h: Hypergraph) -> CutExtremum:
+    """Maximum number of crossing edges over all proper vertex subsets."""
+    cuts = cut_numbers(h)
+    return CutExtremum(cuts.max_cut, cuts.max_witness, cuts.connected)
+
+
 def connectivity_bound_report(
     h: Hypergraph,
     alpha_cert: AlphaCertificate,
     cuts: CutNumbers | None = None,
-    re_solve: bool = True,
 ) -> BoundReport:
     """Consistency checks tying alpha to the degrees and the cut numbers.
 
@@ -562,7 +489,7 @@ def connectivity_bound_report(
         checks.append(make_check("edge_connectivity_at_most_min_degree", float(e_val), float(dmin)))
         scaled = (h.n / h.k) * alpha - 1e-6
         chk = make_check("edge_connectivity_at_least_scaled_alpha", scaled, float(e_val))
-        if not chk.holds and re_solve:
+        if not chk.holds:
             retry = analytic_connectivity(
                 h, AlphaOptions(starts=128, seed=1, max_iter=3000)
             )

@@ -1,5 +1,9 @@
 """H-eigenpair verification, spectral radii, structural eigenpairs, and degree bounds.
 
+``newton_polish`` is the one Newton solver of the eigen-system on a vertex
+support; the per-component radius pairs here and the analytic-connectivity
+minimizers in ``connectivity`` are both refined by it.
+
 An H-eigenpair of an order-k tensor T is a pair (lambda, x != 0) with
 T x^{k-1} = lambda * x^{[k-1]} componentwise.  Eigenvectors here are
 normalized to sup-norm 1 with the largest-magnitude entry positive, and
@@ -12,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -209,56 +214,73 @@ def spectral_radius(
     )
 
 
-def _eigen_system_jacobian(
-    kind: TensorKind, h: Hypergraph, lam: float, x: np.ndarray, pivot: int
-) -> np.ndarray:
-    """Jacobian of F(x, lam) = T x^{k-1} - lam x^{[k-1]} with x[pivot] held fixed."""
+def newton_polish(
+    kind: TensorKind,
+    h: Hypergraph,
+    lam: float,
+    x: np.ndarray,
+    support: Sequence[int] | np.ndarray,
+) -> tuple[float, np.ndarray] | None:
+    """Newton refinement of T x^{k-1} = lam x^{[k-1]} on a vertex support.
+
+    The unknowns are (x_S, lam) with S = ``support``; x is held at 0 off S.
+    The equations are the eigen-equations of the vertices in S bordered by
+    sum x_i^k = 1, so the Jacobian is square and, at a simple eigenvalue of
+    the principal block on S, nonsingular.  This is the system of both a
+    component's radius pair (S the component) and an alpha slice minimizer
+    (S its support, lam its form value).  The start is scaled onto the
+    border row first.  A coordinate that a step takes to 0 or below is set
+    to 0 and leaves S.  Stops after 20 steps, or once the largest equation
+    defect is below 1e-14 or no smaller than at the previous step on the same
+    support, and returns that iterate scaled to sum x^k = 1.  Returns None
+    when a solve fails, the iterate stops being finite, or S empties.  The
+    caller decides whether the result improves on its input.
+    """
     k = h.k
-    n = h.n
-    JA = adjacency_jacobian(h, x)
-    diag = (k - 1) * x ** (k - 2)
-    d = h.degree_vector
-    if kind is TensorKind.ADJACENCY:
-        JT = JA
-    elif kind is TensorKind.LAPLACIAN:
-        JT = -JA + np.diag(d * diag)
-    else:
-        JT = JA + np.diag(d * diag)
-    JF = JT - lam * np.diag(diag)
-    cols = [JF[:, l] for l in range(n) if l != pivot]
-    cols.append(-(x ** (k - 1)))
-    return np.stack(cols, axis=1)
-
-
-def _newton_polish(
-    kind: TensorKind, h: Hypergraph, lam: float, x: np.ndarray, steps: int = 5
-) -> tuple[float, np.ndarray]:
-    """Tighten an approximate eigenpair by Newton steps; keep only improvements."""
-    k = h.k
-    pivot = int(np.argmax(np.abs(x)))
-    free = [l for l in range(h.n) if l != pivot]
-
-    def residual(lam_, x_):
-        return float(np.abs(apply(kind, h, x_) - lam_ * x_ ** (k - 1)).max())
-
-    best_lam, best_x, best_r = lam, x.copy(), residual(lam, x)
-    cur_lam, cur_x = lam, x.copy()
-    for _ in range(steps):
-        F = apply(kind, h, cur_x) - cur_lam * cur_x ** (k - 1)
-        J = _eigen_system_jacobian(kind, h, cur_lam, cur_x, pivot)
+    supp = np.asarray(support, dtype=np.int64)
+    if supp.size == 0:
+        return None
+    start = as_vector(h, x)
+    x = np.zeros(h.n)
+    x[supp] = start[supp]
+    x /= (x ** k).sum() ** (1.0 / k)
+    # d(T x^{k-1})_i/dx_i: d(i) (k-1) x_i^{k-2} for L and Q, nothing for A
+    d = np.zeros(h.n) if kind is TensorKind.ADJACENCY else h.degree_vector
+    last = math.inf
+    for _ in range(20):
+        xkm1 = x[supp] ** (k - 1)
+        F = np.append(apply(kind, h, x)[supp] - lam * xkm1, (x ** k).sum() - 1.0)
+        size = float(np.abs(F).max())
+        # no longer falling: the defect is at its rounding floor
+        if size < 1e-14 or size >= last:
+            break
+        last = size
+        JA = adjacency_jacobian(h, x)[np.ix_(supp, supp)]
+        J = np.zeros((supp.size + 1, supp.size + 1))
+        J[:-1, :-1] = np.diag((d[supp] - lam) * ((k - 1) * x[supp] ** (k - 2)))
+        J[:-1, :-1] += -JA if kind is TensorKind.LAPLACIAN else JA
+        J[:-1, -1] = -xkm1
+        J[-1, :-1] = k * xkm1
         try:
             delta = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
-            break
-        cur_x = cur_x.copy()
-        cur_x[free] += delta[:-1]
-        cur_lam += float(delta[-1])
-        r = residual(cur_lam, cur_x)
-        if r < best_r:
-            best_lam, best_x, best_r = cur_lam, cur_x.copy(), r
-        else:
-            break
-    return best_lam, best_x
+            return None
+        x[supp] += delta[:-1]
+        lam += float(delta[-1])
+        if not (np.all(np.isfinite(x)) and math.isfinite(lam)):
+            return None
+        # a coordinate the step pushes out of the cone leaves the support
+        out = x[supp] <= 0.0
+        if out.all():
+            return None
+        if out.any():
+            x[supp[out]] = 0.0
+            supp = supp[~out]
+            last = math.inf
+    norm = float((x ** k).sum())
+    if not math.isfinite(norm) or norm <= 0:
+        return None
+    return lam, x / norm ** (1.0 / k)
 
 
 def structural_eigenpairs(
@@ -282,6 +304,7 @@ def structural_eigenpairs(
     if h.k < 3:
         raise ValueError(f"structural eigenpairs need k >= 3, got k={h.k}")
     pairs: list[tuple[float, np.ndarray]] = []
+    radius_pairs: tuple[EigenPair, ...] = ()
     if kind is TensorKind.LAPLACIAN:
         for j in range(h.n):
             e_j = np.zeros(h.n)
@@ -293,13 +316,13 @@ def structural_eigenpairs(
             e_j = np.zeros(h.n)
             e_j[j] = 1.0
             pairs.append((float(h.degrees[j]), e_j))
-        pairs.extend(_polished_component_radii(kind, h, opts, radius))
+        radius_pairs = _polished_component_radii(kind, h, opts, radius)
     else:
         e_0 = np.zeros(h.n)
         e_0[0] = 1.0
         pairs.append((0.0, e_0))
-        pairs.extend(_polished_component_radii(kind, h, opts, radius))
-    return tuple(verify_eigenpair(kind, h, lam, x) for lam, x in pairs)
+        radius_pairs = _polished_component_radii(kind, h, opts, radius)
+    return tuple(verify_eigenpair(kind, h, lam, x) for lam, x in pairs) + radius_pairs
 
 
 def _polished_component_radii(
@@ -307,23 +330,24 @@ def _polished_component_radii(
     h: Hypergraph,
     opts: PowerOptions | None,
     radius: SpectralRadiusResult | None,
-) -> list[tuple[float, np.ndarray]]:
-    """Per-component radius pairs, Newton-polished inside each component.
+) -> tuple[EigenPair, ...]:
+    """Verified per-component radius pairs, Newton-polished where that helps.
 
-    Polishing must happen on the component subgraph: embedded in the full
-    graph the off-component zeros make the Jacobian singular, and the
-    polish would stall at the power iteration's residual.
+    Each component's pair is polished on the full graph with the component
+    as its support, and the polished pair replaces the power iteration's
+    only when its residual is smaller.
     """
-    out: list[tuple[float, np.ndarray]] = []
+    out: list[EigenPair] = []
     sr = radius if radius is not None else spectral_radius(kind, h, opts)
     for comp in sr.components:
-        sub = _restrict(h, comp.vertices)
-        xs = np.asarray(comp.vector)[list(comp.vertices)]
-        lam, xs = _newton_polish(kind, sub, comp.value, xs)
-        full = np.zeros(h.n)
-        full[list(comp.vertices)] = xs
-        out.append((lam, full))
-    return out
+        pair = verify_eigenpair(kind, h, comp.value, comp.vector)
+        polished = newton_polish(kind, h, comp.value, comp.vector, comp.vertices)
+        if polished is not None:
+            better = verify_eigenpair(kind, h, *polished)
+            if better.residual < pair.residual:
+                pair = better
+        out.append(pair)
+    return tuple(out)
 
 
 def minimal_binary_eigenvectors(h: Hypergraph) -> tuple[np.ndarray, ...]:

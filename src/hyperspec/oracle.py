@@ -265,21 +265,6 @@ def _compositions(parts: int, total: int):
             yield (first,) + rest
 
 
-def _batch_forms(kind: TensorKind, h: Hypergraph, X: np.ndarray) -> np.ndarray:
-    """Form values for every row of X at once."""
-    Xe = X[:, h.edge_index]
-    prods = Xe.prod(axis=2)
-    if kind is TensorKind.ADJACENCY:
-        contrib = h.k * prods
-    else:
-        sums = (Xe ** h.k).sum(axis=2)
-        if kind is TensorKind.LAPLACIAN:
-            contrib = sums - h.k * prods
-        else:
-            contrib = sums + h.k * prods
-    return contrib.sum(axis=1)
-
-
 def grid_extremize_form(
     kind: TensorKind,
     h: Hypergraph,
@@ -320,7 +305,7 @@ def grid_extremize_form(
         return full
 
     def evaluate(U: np.ndarray) -> np.ndarray:
-        return _batch_forms(kind, h, embed(U) ** (1.0 / h.k))
+        return form(kind, h, embed(U) ** (1.0 / h.k))
 
     def select(U: np.ndarray, scores: np.ndarray, count: int, min_dist: float) -> np.ndarray:
         chosen: list[int] = []

@@ -216,16 +216,14 @@ def assemble_report(
     h: Hypergraph,
     power_opts: PowerOptions,
     alpha_opts: AlphaOptions,
-    alpha_max_iter: int,
 ) -> tuple[dict, bool, bool]:
     """Full analysis of one hypergraph.
 
     Returns (report dict, all bound checks hold, all solvers converged).
     """
-    a_opts = AlphaOptions(starts=alpha_opts.starts, seed=alpha_opts.seed, max_iter=alpha_max_iter)
     adj = spectral_radius(TensorKind.ADJACENCY, h, power_opts)
     sig = spectral_radius(TensorKind.SIGNLESS_LAPLACIAN, h, power_opts)
-    cert = analytic_connectivity(h, a_opts)
+    cert = analytic_connectivity(h, alpha_opts)
     cuts = cut_numbers(h) if h.n <= MAX_BRUTE_N else None
     eigen_rep = bound_report(h, lambda1=adj.value, nu1=sig.value)
     conn_rep = connectivity_bound_report(h, cert, cuts)
@@ -235,9 +233,9 @@ def assemble_report(
         "options": {
             "tol": power_opts.tol,
             "max_iter": power_opts.max_iter,
-            "alpha_max_iter": a_opts.max_iter,
-            "starts": a_opts.starts,
-            "seed": a_opts.seed,
+            "alpha_max_iter": alpha_opts.max_iter,
+            "starts": alpha_opts.starts,
+            "seed": alpha_opts.seed,
         },
         "graph": graph_summary(h),
         "spectral": {
@@ -253,7 +251,7 @@ def assemble_report(
             if h.k >= 3
             else {"note": "structural eigenpairs need k >= 3"}
         ),
-        "alpha": alpha_block(cert, a_opts),
+        "alpha": alpha_block(cert, alpha_opts),
         "cuts": cuts_block(cuts, h.n),
         "checks": checks_block(eigen_rep, conn_rep),
     }

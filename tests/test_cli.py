@@ -110,6 +110,17 @@ def test_spectral_nonconvergence_exits_3(capsys, hub_file):
     assert "converged=False" in out  # still reports what it got
 
 
+@pytest.mark.parametrize("command", ["spectral", "alpha"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_iteration_cap_below_one_exits_2(capsys, hub_file, command, cap):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--max-iter", cap, hub_file])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-iter" in captured.err
+
+
 def test_bound_failure_maps_to_exit_1(capsys, monkeypatch, path_file):
     monkeypatch.setattr(cli, "assemble_report", lambda *a, **kw: ({"schema": SCHEMA}, False, True))
     code, _, _ = run(capsys, ["report", path_file])

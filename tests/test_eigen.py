@@ -21,7 +21,7 @@ from hyperspec import (
     verify_eigenpair,
 )
 
-from hyperspec.eigen import _restrict
+from hyperspec.eigen import _restrict, newton_polish
 
 from conftest import random_connected, single_edge
 
@@ -248,6 +248,38 @@ def test_structural_pairs_per_component(hub_graph, two_edge_path):
     assert tuple(range(8, 12)) in full_supports
     for p in pairs:
         assert p.residual <= 1e-12
+
+
+def test_newton_polish_lands_on_matrix_eigenvalue_at_k2():
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        h = random_connected(rng, 2, int(rng.integers(4, 13)))
+        adj = np.zeros((h.n, h.n))
+        for i, j in h.edges:
+            adj[i, j] = adj[j, i] = 1.0
+        for kind, matrix in (
+            (TensorKind.ADJACENCY, adj),
+            (TensorKind.SIGNLESS_LAPLACIAN, np.diag(h.degree_vector) + adj),
+        ):
+            values, vectors = np.linalg.eigh(matrix)
+            start = np.abs(vectors[:, -1]) * (1.0 + 0.05 * rng.random(h.n))
+            lam, x = newton_polish(kind, h, values[-1] + 0.05, start, range(h.n))
+            assert lam == pytest.approx(values[-1], abs=1e-12)
+            assert verify_eigenpair(kind, h, lam, x).residual <= 1e-12
+
+
+@pytest.mark.parametrize("k, sizes", [(3, (7, 6)), (4, (8, 6))])
+def test_newton_polish_each_component_on_the_full_graph(k, sizes):
+    rng = np.random.default_rng(k)
+    u = disjoint_union(*(random_connected(rng, k, n) for n in sizes))
+    for kind in (TensorKind.ADJACENCY, TensorKind.SIGNLESS_LAPLACIAN):
+        loose = spectral_radius(kind, u, PowerOptions(tol=1e-4))
+        assert len(loose.components) == 2
+        for comp in loose.components:
+            assert verify_eigenpair(kind, u, comp.value, comp.vector).residual > 1e-8
+            lam, x = newton_polish(kind, u, comp.value, comp.vector, comp.vertices)
+            assert support(x) == list(comp.vertices)
+            assert verify_eigenpair(kind, u, lam, x).residual <= 1e-12
 
 
 def test_structural_pairs_reject_k2():
