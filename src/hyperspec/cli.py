@@ -190,12 +190,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK if all_hold else EXIT_BOUND_FAILED
 
 
-def _iteration_cap(text: str) -> int:
-    """``--max-iter`` value: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int):
+    """argparse type for an integer of at least ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     flags = {
         "--json": dict(action="store_true", help="emit JSON instead of text"),
         "--tol": dict(type=float, default=1e-10, help="solver tolerance"),
-        "--max-iter": dict(type=_iteration_cap, help="solver iteration cap (at least 1)"),
-        "--starts": dict(type=int, default=32, help="random starts per pinned vertex"),
+        "--max-iter": dict(type=_at_least(1), help="solver iteration cap (at least 1)"),
+        "--starts": dict(type=_at_least(0), default=32, help="random starts per pinned vertex"),
         "--seed": dict(type=int, default=0, help="random seed"),
     }
 

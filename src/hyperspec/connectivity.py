@@ -132,19 +132,13 @@ def _slice_gradients(h: Hypergraph, u: np.ndarray) -> np.ndarray:
     active = u > EPS_U
     ratio = np.zeros_like(u)
     ratio[active] = a[active] / xkm1[active]
-    # release test for zero coordinates: largest over edges through i of the
-    # smallest u among the other vertices of that edge, the latter as the
-    # smaller of the prefix and the suffix minimum around each position
+    # release test for zero coordinates: some edge through i has all its k-1
+    # other vertices above 1e-9
     idx = h.edge_index
-    ue = np.take(u, idx, axis=1)
-    pref = np.full_like(ue, np.inf)
-    suff = np.full_like(ue, np.inf)
-    for j in range(1, k):
-        np.minimum(pref[..., j - 1], ue[..., j - 1], out=pref[..., j])
-        np.minimum(suff[..., k - j], ue[..., k - j], out=suff[..., k - 1 - j])
-    release = np.zeros(u.size)
-    np.maximum.at(release, np.arange(rows)[:, None, None] * n + idx, np.minimum(pref, suff))
-    pulled = ~active & (release.reshape(rows, n) > 1e-9)
+    high = np.take(u > 1e-9, idx.T, axis=1)
+    others_high = high.sum(axis=1)[:, None, :] - high == k - 1
+    cells = np.arange(rows)[:, None, None] * n + idx.T
+    pulled = ~active & (np.bincount(cells[others_high], minlength=u.size).reshape(rows, n) > 0)
     ratio[pulled] = RATIO_CAP
     np.minimum(ratio, RATIO_CAP, out=ratio)
     return h.degree_vector - ratio

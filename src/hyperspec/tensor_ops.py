@@ -20,16 +20,24 @@ every row in the same calls: ``apply`` then runs its one ``np.bincount``
 over the row-offset indices b*n + i, so row b of the result holds exactly
 the floats the 1-D call on row b would give.
 
-Accuracy: ``apply`` scatters the m*k leave-one-out products with one
-``np.bincount``, which adds the d(i) terms of vertex i one after another in
-float64, so its rounding error is at most (d(i) - 1) * u * sum |terms| with
-u = 2**-53.  ``form`` adds the m edge contributions with numpy's pairwise
-sum, whose error grows like log2(m) * u rather than m * u.
+Every per-edge quantity comes from the k edge columns, contiguous (..., m)
+gathers of the entries at one edge position, by elementwise operations.
+
+Accuracy: an edge's product, and the sum of the x_j^k in ``form``, fold
+its k entries left to right, which is the order of numpy's own reduction
+over a length-k axis up to k = 7 (from k = 8 numpy sums pairwise); the
+powers x_j^k are taken once per vertex and then gathered.  ``apply``
+scatters the m*k leave-one-out products with one ``np.bincount`` in
+edge-major order, which adds the d(i) terms of vertex i one after another
+in float64, so its rounding error is at most (d(i) - 1) * u * sum |terms|
+with u = 2**-53.  ``form`` adds the m edge contributions with numpy's
+pairwise sum, whose error grows like log2(m) * u rather than m * u.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -70,15 +78,24 @@ def elementwise_power(x: np.ndarray, r: int) -> np.ndarray:
     return np.asarray(x, dtype=np.float64) ** int(r)
 
 
-def _leave_one_out_products(xe: np.ndarray) -> np.ndarray:
-    """Products prod_{j != i} xe[..., j] along the last axis, by prefix/suffix (no division)."""
-    k = xe.shape[-1]
-    pref = np.ones_like(xe)
-    suff = np.ones_like(xe)
-    for j in range(1, k):
-        pref[..., j] = pref[..., j - 1] * xe[..., j - 1]
-        suff[..., k - 1 - j] = suff[..., k - j] * xe[..., k - j]
-    return pref * suff
+def _columns(idx: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Edge columns (k, ..., m): entry [j, ..., e] is v[..., idx[e, j]]."""
+    return v.take(idx.T, axis=-1).swapaxes(0, -2)
+
+
+def _leave_one_out_products(cols: np.ndarray) -> np.ndarray:
+    """Products of all columns but the i-th, stacked edge-major as (..., m, k).
+
+    Built from prefix and suffix products, with no division:
+    pre[i] = c_0 ... c_{i-1} and suf[i] = c_{k-1} ... c_{i+1}.
+    """
+    k = len(cols)
+    pre, suf = [None] * k, [None] * k
+    pre[1], suf[k - 2] = cols[0], cols[k - 1]
+    for j in range(2, k):
+        pre[j] = pre[j - 1] * cols[j - 1]
+        suf[k - 1 - j] = suf[k - j] * cols[k - j]
+    return np.stack([suf[0], *(pre[i] * suf[i] for i in range(1, k - 1)), pre[k - 1]], axis=-1)
 
 
 def apply(kind: TensorKind, h: Hypergraph, x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -88,7 +105,7 @@ def apply(kind: TensorKind, h: Hypergraph, x: Sequence[float] | np.ndarray) -> n
     """
     v = _as_rows(h, x)
     idx = h.edge_index
-    loo = _leave_one_out_products(np.take(v, idx, axis=-1))
+    loo = _leave_one_out_products(_columns(idx, v))
     cells = idx.ravel()
     if v.ndim == 2:
         cells = (np.arange(v.shape[0])[:, None] * h.n + cells).ravel()
@@ -113,23 +130,28 @@ def adjacency_jacobian(h: Hypergraph, x: Sequence[float] | np.ndarray) -> np.nda
     v = as_vector(h, x)
     n, k = h.n, h.k
     idx = h.edge_index
+    cols = _columns(idx, v)
     pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
     first, second = np.array(pairs, dtype=np.int64).T
-    others = np.array([[r for r in range(k) if r not in p] for p in pairs], dtype=np.int64)
-    prods = v[idx][:, others].prod(axis=2)
+    prods = np.stack(
+        [reduce(np.multiply, (cols[r] for r in range(k) if r not in p), np.ones(h.m)) for p in pairs],
+        axis=-1,
+    )
     cells = idx[:, first] * n + idx[:, second]
     return np.bincount(cells.ravel(), weights=prods.ravel(), minlength=n * n).reshape(n, n)
 
 
-def _edge_contributions(kind: TensorKind, k: int, xe: np.ndarray) -> np.ndarray:
-    prods = xe.prod(axis=-1)
+def _edge_contributions(kind: TensorKind, idx: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Form terms of the edges idx (m, k) at one vector or a stack of rows v: shape (..., m)."""
+    k = idx.shape[1]
+    prods = k * reduce(np.multiply, _columns(idx, v))
     if kind is TensorKind.ADJACENCY:
-        return k * prods
-    sums = (xe ** k).sum(axis=-1)
+        return prods
+    sums = reduce(np.add, _columns(idx, v**k))
     if kind is TensorKind.LAPLACIAN:
-        return sums - k * prods
+        return sums - prods
     if kind is TensorKind.SIGNLESS_LAPLACIAN:
-        return sums + k * prods
+        return sums + prods
     raise ValueError(f"unknown tensor kind {kind!r}")
 
 
@@ -141,9 +163,9 @@ def form(
     For a (B, n) stack of rows ``x`` the result is the (B,) array of row forms.
     """
     v = _as_rows(h, x)
-    # np.take keeps each row's edge entries contiguous, so every row sum is the
-    # same pairwise sum a 1-D call makes
-    sums = _edge_contributions(kind, h.k, np.take(v, h.edge_index, axis=-1)).sum(axis=-1)
+    # each row's edge terms are contiguous, so every row sum is the same
+    # pairwise sum a 1-D call makes
+    sums = _edge_contributions(kind, h.edge_index, v).sum(axis=-1)
     return sums if v.ndim == 2 else float(sums)
 
 
@@ -156,8 +178,7 @@ def edge_form(kind: TensorKind, edge: Sequence[int], x: Sequence[float] | np.nda
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or max(e) >= v.size or min(e) < 0:
         raise ValueError(f"edge {e} indexes outside the vector of length {v.size}")
-    xe = v[np.array(e)][None, :]
-    return float(_edge_contributions(kind, k, xe)[0])
+    return float(_edge_contributions(kind, np.arange(k)[None, :], v[np.array(e)])[0])
 
 
 def form_gradient(kind: TensorKind, h: Hypergraph, x: Sequence[float] | np.ndarray) -> np.ndarray:

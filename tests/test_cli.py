@@ -121,6 +121,24 @@ def test_iteration_cap_below_one_exits_2(capsys, hub_file, command, cap):
     assert "--max-iter" in captured.err
 
 
+@pytest.mark.parametrize("command", ["alpha", "report"])
+def test_negative_starts_exit_2(capsys, path_file, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--starts", "-3", path_file])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--starts" in captured.err
+
+
+def test_zero_starts_runs_the_deterministic_starts(capsys, path_file):
+    code, out, _ = run(capsys, ["alpha", "--json", "--starts", "0", path_file])
+    assert code == 0
+    block = json.loads(out)["alpha"]
+    assert block["starts"] == 0
+    assert abs(block["value"] - (1.0 - solve_beta() ** 2)) <= 1e-4
+
+
 def test_bound_failure_maps_to_exit_1(capsys, monkeypatch, path_file):
     monkeypatch.setattr(cli, "assemble_report", lambda *a, **kw: ({"schema": SCHEMA}, False, True))
     code, _, _ = run(capsys, ["report", path_file])

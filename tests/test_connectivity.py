@@ -261,6 +261,41 @@ def test_kkt_residual_matches_loop_reference():
         assert connectivity._kkt_residual(h, pinned, x, mu) == loop_residual(h, pinned, x, mu)
 
 
+def test_slice_gradient_release_matches_maximum_at_reference():
+    def reference_gradients(h, u):
+        # the release test as the largest, over edges through i, of the
+        # smallest u among the other vertices, scattered by np.maximum.at
+        k, (rows, n) = h.k, u.shape
+        u = np.maximum(u, 0.0)
+        x = u ** (1.0 / k)
+        a = apply(TensorKind.ADJACENCY, h, x)
+        active = u > connectivity.EPS_U
+        ratio = np.zeros_like(u)
+        ratio[active] = a[active] / (x ** (k - 1))[active]
+        ue = np.take(u, h.edge_index, axis=1)
+        others = np.stack([np.delete(ue, j, axis=-1).min(axis=-1) for j in range(k)], axis=-1)
+        release = np.zeros(u.size)
+        np.maximum.at(release, np.arange(rows)[:, None, None] * n + h.edge_index, others)
+        ratio[~active & (release.reshape(rows, n) > 1e-9)] = connectivity.RATIO_CAP
+        return h.degree_vector - np.minimum(ratio, connectivity.RATIO_CAP)
+
+    rng = np.random.default_rng(115)
+    released = held = 0
+    for k in range(2, 9):
+        for _ in range(4):
+            h = random_connected(rng, k, int(rng.integers(k + 1, k + 9)), max_extra=30)
+            u = rng.random((6, h.n))
+            # exact zeros, the 1e-9 release threshold itself, and values either side of it
+            for value, share in ((0.0, 0.3), (1e-9, 0.15), (np.nextafter(1e-9, 1), 0.1), (1e-14, 0.1)):
+                u[rng.random(u.shape) < share] = value
+            want = reference_gradients(h, u)
+            assert np.array_equal(connectivity._slice_gradients(h, u), want)
+            pulled = want == h.degree_vector - connectivity.RATIO_CAP
+            released += pulled.sum()
+            held += (~pulled & (u <= connectivity.EPS_U)).sum()
+    assert released > 0 and held > 0
+
+
 # ---------------------------------------------------------------------------
 # brute-force cuts
 

@@ -17,7 +17,7 @@ from hyperspec import (
 
 from hyperspec.tensor_ops import adjacency_jacobian
 
-from conftest import random_connected
+from conftest import random_connected, single_edge
 
 ALL_KINDS = (TensorKind.ADJACENCY, TensorKind.LAPLACIAN, TensorKind.SIGNLESS_LAPLACIAN)
 
@@ -38,6 +38,81 @@ def reference_apply(kind: TensorKind, h: Hypergraph, x: np.ndarray) -> np.ndarra
             else:
                 out[i] += x[i] ** (h.k - 1) + p
     return out
+
+
+def small_axis_apply(kind: TensorKind, h: Hypergraph, x: np.ndarray) -> np.ndarray:
+    """``apply`` as gathered (..., m, k) edge entries with prefix/suffix products along k."""
+    idx = h.edge_index
+    xe = np.take(x, idx, axis=-1)
+    k = xe.shape[-1]
+    pref = np.ones_like(xe)
+    suff = np.ones_like(xe)
+    for j in range(1, k):
+        pref[..., j] = pref[..., j - 1] * xe[..., j - 1]
+        suff[..., k - 1 - j] = suff[..., k - j] * xe[..., k - j]
+    cells = idx.ravel()
+    if x.ndim == 2:
+        cells = (np.arange(x.shape[0])[:, None] * h.n + cells).ravel()
+    a = np.bincount(cells, weights=(pref * suff).ravel(), minlength=x.size).reshape(x.shape)
+    dxk = h.degree_vector * x ** (k - 1)
+    return {TensorKind.ADJACENCY: a, TensorKind.LAPLACIAN: dxk - a}.get(kind, dxk + a)
+
+
+def small_axis_form(kind: TensorKind, h: Hypergraph, x: np.ndarray) -> float | np.ndarray:
+    """``form`` as numpy product and sum reductions along the length-k axis of the edge entries."""
+    xe = np.take(x, h.edge_index, axis=-1)
+    prods = h.k * xe.prod(axis=-1)
+    sums = (xe**h.k).sum(axis=-1)
+    terms = {TensorKind.ADJACENCY: prods, TensorKind.LAPLACIAN: sums - prods}.get(kind, sums + prods)
+    return terms.sum(axis=-1) if x.ndim == 2 else float(terms.sum())
+
+
+def small_axis_jacobian(h: Hypergraph, x: np.ndarray) -> np.ndarray:
+    """``adjacency_jacobian`` with the k-2 "others" of every vertex pair reduced by ``prod``."""
+    n, k, idx = h.n, h.k, h.edge_index
+    pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
+    first, second = np.array(pairs, dtype=np.int64).T
+    others = np.array([[r for r in range(k) if r not in p] for p in pairs], dtype=np.int64)
+    prods = x[idx][:, others].prod(axis=2)
+    cells = idx[:, first] * n + idx[:, second]
+    return np.bincount(cells.ravel(), weights=prods.ravel(), minlength=n * n).reshape(n, n)
+
+
+def column_kernel_cases(k: int, seed: int):
+    """Seeded graphs with one vector and a (4, n) stack, holding exact zeros and 1e-9 entries."""
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        h = random_connected(rng, k, int(rng.integers(k + 1, k + 9)), max_extra=30)
+        rows = rng.normal(size=(4, h.n)) * rng.choice([1e-3, 1.0, 30.0], size=(4, 1))
+        rows[rng.random(rows.shape) < 0.2] = 0.0
+        rows[rng.random(rows.shape) < 0.2] = 1e-9
+        yield h, rows[0], rows
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_column_kernels_match_small_axis_reductions(k):
+    # below length 8 numpy reduces a length-k axis left to right, which is
+    # the order the column kernels fold in, so the floats are the same
+    for h, x, rows in column_kernel_cases(k, 200 + k):
+        for kind in ALL_KINDS:
+            for v in (x, rows):
+                assert np.array_equal(apply(kind, h, v), small_axis_apply(kind, h, v))
+                assert np.array_equal(form(kind, h, v), small_axis_form(kind, h, v))
+            for e in h.edges[:3]:
+                assert edge_form(kind, e, x) == small_axis_form(kind, single_edge(k), x[list(e)])
+        assert np.array_equal(adjacency_jacobian(h, x), small_axis_jacobian(h, x))
+
+
+def test_column_kernels_at_k8_agree_within_4_ulp():
+    # at length 8 numpy's pairwise blocking reorders the sum of the x_j^8,
+    # so only ``form`` of L and Q may move, by a few units in the last place
+    for h, x, rows in column_kernel_cases(8, 208):
+        for kind in ALL_KINDS:
+            for v in (x, rows):
+                assert np.array_equal(apply(kind, h, v), small_axis_apply(kind, h, v))
+                got, want = form(kind, h, v), small_axis_form(kind, h, v)
+                assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+        assert np.array_equal(adjacency_jacobian(h, x), small_axis_jacobian(h, x))
 
 
 def test_forms_at_triangle_indicator(hub_graph):
