@@ -212,9 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
     flags = {
         "--json": dict(action="store_true", help="emit JSON instead of text"),
         "--tol": dict(type=float, default=1e-10, help="solver tolerance"),
-        "--max-iter": dict(type=_at_least(1), help="solver iteration cap (at least 1)"),
-        "--starts": dict(type=_at_least(0), default=32, help="random starts per pinned vertex"),
-        "--seed": dict(type=int, default=0, help="random seed"),
+        "--max-iter": dict(
+            type=_at_least(1), help="power iteration cap (at least 1); for alpha, per (pin, component) row"
+        ),
+        "--starts": dict(
+            type=_at_least(0), default=32, help="echoed in the JSON only; alpha has no random starts"
+        ),
+        "--seed": dict(type=int, default=0, help="echoed in the JSON only; alpha has no random starts"),
     }
 
     def common(p: argparse.ArgumentParser, *names: str) -> None:
@@ -232,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--kind", choices=["A", "Q", "all"], default="all")
     p_spec.set_defaults(func=cmd_spectral, max_iter=PowerOptions().max_iter)
 
-    p_alpha = sub.add_parser("alpha", help="analytic connectivity by pinned-slice minimization")
+    p_alpha = sub.add_parser("alpha", help="analytic connectivity by per-pin Perron roots")
     common(p_alpha, "--json", "--max-iter", "--starts", "--seed")
     p_alpha.set_defaults(func=cmd_alpha, max_iter=AlphaOptions().max_iter)
 

@@ -1,8 +1,10 @@
 """H-eigenpair verification, spectral radii, structural eigenpairs, and degree bounds.
 
-``newton_polish`` is the one Newton solver of the eigen-system on a vertex
-support; the per-component radius pairs here and the analytic-connectivity
-minimizers in ``connectivity`` are both refined by it.
+``perron_rows`` is the one Perron-root kernel: every block A + diag(c) on a
+vertex set, nonnegative after a diagonal shift, is a row of it, so the
+per-component radii here and the per-pin slice minima of the analytic
+connectivity in ``connectivity`` run through the same shifted power
+iteration and the same Newton finish, ``newton_polish``.
 
 An H-eigenpair of an order-k tensor T is a pair (lambda, x != 0) with
 T x^{k-1} = lambda * x^{[k-1]} componentwise.  Eigenvectors here are
@@ -13,6 +15,7 @@ classified by sign structure: H++ (all entries positive), strict H+
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -32,6 +35,14 @@ VERIFY_TOL = 1e-8
 
 # relative slack for the degree-bound checks
 BOUND_SLACK = 1e-9
+
+# the Perron kernel's working set holds at most this many rows * m * k edge
+# entries, which bounds every (rows, m, k) array of one power step
+ROW_ENTRY_CAP = 2**15
+
+# a Perron row is Newton-polished once its bracket is this narrow, and again
+# each time the bracket has narrowed by this factor since the last try
+POLISH_GAP = 1e-3
 
 
 class Classification(Enum):
@@ -67,6 +78,17 @@ class ComponentRadius:
     bracket: tuple[float, float]
     iterations: int
     converged: bool
+
+
+@dataclass(frozen=True)
+class PerronRows:
+    """Outcome of ``perron_rows``, one entry per row."""
+
+    lo: np.ndarray  # Collatz-Wielandt bracket [lo, hi] of each row's root
+    hi: np.ndarray
+    vectors: np.ndarray  # (rows, n): zero off the row's mask, sup-norm 1
+    iterations: np.ndarray  # power steps run
+    converged: np.ndarray  # the bracket closed to within tol
 
 
 @dataclass(frozen=True)
@@ -112,61 +134,86 @@ def verify_eigenpair(
     return EigenPair(value=float(value), vector=v, residual=residual, classification=cls)
 
 
-def _restrict(h: Hypergraph, vertices: tuple[int, ...]) -> Hypergraph:
-    """Sub-hypergraph induced by one connected component (``h`` itself for all of it)."""
-    if len(vertices) == h.n:  # components are sorted, so this is range(n)
-        return h
-    remap = {v: i for i, v in enumerate(vertices)}
-    vset = set(vertices)
-    edges = [tuple(remap[v] for v in e) for e in h.edges if set(e) <= vset]
-    return Hypergraph.from_edges(h.k, len(vertices), edges)
+def _ratio_bracket(
+    h: Hypergraph, x: np.ndarray, masks: np.ndarray, c: np.ndarray, shift: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(y, lo, hi) for every row: y = (A x^{k-1} + (c + shift) x^{[k-1]}) on the row's
+    mask, and the least and largest ratio y_i / x_i^{k-1} over the mask, less the shift."""
+    xkm1 = x ** (h.k - 1)
+    y = np.where(masks, apply(TensorKind.ADJACENCY, h, x) + (c + shift) * xkm1, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = y / xkm1
+    lo = np.where(masks, ratios, np.inf).min(axis=1) - shift
+    hi = np.where(masks, ratios, -np.inf).max(axis=1) - shift
+    return y, lo, hi
 
 
-def _power_iterate(
-    kind: TensorKind,
+def perron_rows(
     h: Hypergraph,
+    masks: np.ndarray,
+    c: np.ndarray,
+    shift: float,
     tol: float,
     max_iter: int,
-    shift: float | None,
-    start: np.ndarray | None,
-) -> tuple[float, np.ndarray, tuple[float, float], int, bool]:
-    """Shifted power iteration with a min/max ratio bracket around the radius.
+    start: np.ndarray | None = None,
+) -> PerronRows:
+    """Perron root of A + diag(c) on the vertex set of each row of ``masks``.
 
-    The diagonal shift sigma makes the iteration map strictly positive, so for
-    a connected graph the ratio bracket [min_i, max_i] of
-    (T x^{k-1} + sigma x^{[k-1]})_i / x_i^{k-1} encloses rho(T) + sigma at
-    every positive x and tightens to it.
+    Each row is a (mask, c) pair; ``c`` is one length-n vector or one per
+    row.  The mask must be connected through edges that lie inside it, and
+    A acts on it through those edges only: x is 0 off the mask, so an edge
+    leaving it contributes nothing there.  ``shift`` + c must be positive on
+    the mask, which makes the block primitive.  Each row then runs the
+    shifted power iteration (NQZ)
+
+        x <- ((A x^{k-1} + (c + shift) x^{[k-1]}) on the mask)^{1/(k-1)}
+
+    from ``start`` (default all ones) scaled to sup-norm 1.  At every
+    positive x the least and largest ratio (A x^{k-1} + c x^{[k-1]})_i /
+    x_i^{k-1} over the mask bracket the root (Collatz-Wielandt).  Once a
+    row's bracket is narrower than POLISH_GAP it is Newton-polished on its
+    mask, and again whenever it has narrowed by that factor since the last
+    try; the bracket at a polished vector positive on the whole mask
+    replaces the power iterate's when it is narrower.  A row ends when its bracket is at most
+    ``tol`` wide (converged) or after ``max_iter`` power steps.  One (rows,
+    n) ``apply`` steps all live rows, and at most ROW_ENTRY_CAP // (m k)
+    rows are live at a time; a row's floats do not depend on the others.
     """
+    rows, n = masks.shape
     k = h.k
-    sigma = float(shift) if shift is not None else float(max(h.degrees) + 1)
-    if sigma <= 0:
-        raise ValueError(f"shift must be positive, got {sigma}")
-    if start is None:
-        x = np.ones(h.n)
-    else:
-        x = as_vector(h, start).copy()
-        if np.any(x <= 0):
-            raise ValueError("start vector must be strictly positive")
-        x /= x.max()
+    c = np.broadcast_to(np.asarray(c, dtype=np.float64), masks.shape)
+    x = np.where(masks, 1.0 if start is None else start, 0.0)
+    x /= x.max(axis=1, keepdims=True)
+    lo, hi = np.zeros(rows), np.zeros(rows)
+    iterations = np.zeros(rows, dtype=np.int64)
+    polish_at = np.full(rows, POLISH_GAP)
     floor = (1e-300) ** (1.0 / (k - 1))  # keeps x^{k-1} above underflow
-    lo = hi = 0.0
-    it = 0
-    converged = False
-    for it in range(1, max_iter + 1):
-        a = apply(kind, h, x)
-        xkm1 = x ** (k - 1)
-        ratios = a / xkm1 + sigma
-        lo = float(ratios.min())
-        hi = float(ratios.max())
-        if hi - lo <= tol:
-            converged = True
-            break
-        y = a + sigma * xkm1
-        x = y ** (1.0 / (k - 1))
-        x /= x.max()
-        np.maximum(x, floor, out=x)
-    value = 0.5 * (lo + hi) - sigma
-    return value, x, (lo - sigma, hi - sigma), it, converged
+    capacity = max(1, ROW_ENTRY_CAP // (h.m * k))
+    pending = iter(range(rows))
+    live = np.fromiter(itertools.islice(pending, capacity), dtype=np.int64)
+    while live.size:
+        y, lo[live], hi[live] = _ratio_bracket(h, x[live], masks[live], c[live], shift)
+        iterations[live] += 1
+        gap = hi[live] - lo[live]
+        for i in np.flatnonzero((gap > tol) & (gap <= polish_at[live])):
+            r = live[i]
+            polish_at[r] = gap[i] * POLISH_GAP
+            mid = 0.5 * (lo[r] + hi[r])
+            out = newton_polish(h, c[r], mid, x[r], np.flatnonzero(masks[r]))
+            if out is None or not np.all(out[1][masks[r]] > 0.0):
+                continue
+            xp = out[1] / out[1].max()
+            yp, plo, phi = _ratio_bracket(h, xp[None], masks[r : r + 1], c[r : r + 1], shift)
+            if phi[0] - plo[0] < gap[i]:
+                x[r], y[i], lo[r], hi[r] = xp, yp[0], plo[0], phi[0]
+        going = (hi[live] - lo[live] > tol) & (iterations[live] < max_iter)
+        step = y[going] ** (1.0 / (k - 1))
+        step /= step.max(axis=1, keepdims=True)
+        kept = live[going]
+        x[kept] = np.where(masks[kept], np.maximum(step, floor), 0.0)
+        fresh = np.fromiter(itertools.islice(pending, capacity - kept.size), dtype=np.int64)
+        live = np.concatenate([kept, fresh])
+    return PerronRows(lo=lo, hi=hi, vectors=x, iterations=iterations, converged=hi - lo <= tol)
 
 
 def spectral_radius(
@@ -176,35 +223,40 @@ def spectral_radius(
 ) -> SpectralRadiusResult:
     """Largest H-eigenvalue of A or Q, computed per connected component.
 
-    The radius of the whole graph is the maximum over components; each
-    component carries a positive witness vector.  The Laplacian is rejected
-    because its largest H-eigenvalue is not an iteration fixed point here.
+    Every component is one row of ``perron_rows``, with c = 0 for A and
+    c = d for Q.  The radius of the whole graph is the maximum over
+    components; each component carries a positive witness vector.  The
+    Laplacian is rejected because its largest H-eigenvalue is not a Perron
+    root.
     """
     if kind is TensorKind.LAPLACIAN:
         raise ValueError("spectral_radius supports only the adjacency and signless Laplacian tensors")
     opts = opts or PowerOptions()
+    shift = float(opts.shift) if opts.shift is not None else float(max(h.degrees) + 1)
+    if shift <= 0:
+        raise ValueError(f"shift must be positive, got {shift}")
+    start = None
+    if opts.start is not None:
+        start = as_vector(h, opts.start)
+        if np.any(start <= 0):
+            raise ValueError("start vector must be strictly positive")
     comps = components(h)
-    results: list[ComponentRadius] = []
-    for comp in comps:
-        sub = _restrict(h, comp)
-        sub_start = None
-        if opts.start is not None:
-            sub_start = as_vector(h, opts.start)[list(comp)]
-        value, xs, bracket, iters, conv = _power_iterate(
-            kind, sub, opts.tol, opts.max_iter, opts.shift, sub_start
+    masks = np.zeros((len(comps), h.n), dtype=bool)
+    for r, comp in enumerate(comps):
+        masks[r, list(comp)] = True
+    c = h.degree_vector if kind is TensorKind.SIGNLESS_LAPLACIAN else np.zeros(h.n)
+    rows = perron_rows(h, masks, c, shift, opts.tol, opts.max_iter, start)
+    results = [
+        ComponentRadius(
+            vertices=comp,
+            value=float(0.5 * (rows.lo[r] + rows.hi[r])),
+            vector=rows.vectors[r],
+            bracket=(float(rows.lo[r]), float(rows.hi[r])),
+            iterations=int(rows.iterations[r]),
+            converged=bool(rows.converged[r]),
         )
-        full = np.zeros(h.n)
-        full[list(comp)] = xs
-        results.append(
-            ComponentRadius(
-                vertices=comp,
-                value=value,
-                vector=full,
-                bracket=bracket,
-                iterations=iters,
-                converged=conv,
-            )
-        )
+        for r, comp in enumerate(comps)
+    ]
     best = max(results, key=lambda r: r.value)
     return SpectralRadiusResult(
         value=best.value,
@@ -215,72 +267,67 @@ def spectral_radius(
 
 
 def newton_polish(
-    kind: TensorKind,
     h: Hypergraph,
+    c: np.ndarray,
     lam: float,
     x: np.ndarray,
     support: Sequence[int] | np.ndarray,
 ) -> tuple[float, np.ndarray] | None:
-    """Newton refinement of T x^{k-1} = lam x^{[k-1]} on a vertex support.
+    """Newton refinement of A x^{k-1} + c x^{[k-1]} = lam x^{[k-1]} on a vertex support.
 
-    The unknowns are (x_S, lam) with S = ``support``; x is held at 0 off S.
-    The equations are the eigen-equations of the vertices in S bordered by
-    sum x_i^k = 1, so the Jacobian is square and, at a simple eigenvalue of
-    the principal block on S, nonsingular.  This is the system of both a
-    component's radius pair (S the component) and an alpha slice minimizer
-    (S its support, lam its form value).  The start is scaled onto the
-    border row first.  A coordinate that a step takes to 0 or below is set
-    to 0 and leaves S.  Stops after 20 steps, or once the largest equation
-    defect is below 1e-14 or no smaller than at the previous step on the same
-    support, and returns that iterate scaled to sum x^k = 1.  Returns None
-    when a solve fails, the iterate stops being finite, or S empties.  The
+    The equations are those of the vertices in S = ``support``, with x held
+    at 0 off S; c = 0 gives A, c = d gives Q, and c = -d with lam negated
+    gives L.  The pivot p is the vertex of S where the start is largest:
+    x_p is held at 1, the sup-norm-1 scale ``verify_eigenpair`` reads, and
+    lam takes its place among the unknowns, so the Jacobian is square and,
+    at a simple eigenvalue of the principal block on S, nonsingular.  A
+    coordinate that a step takes to 0 or below is set to 0 and leaves S.
+    Stops after 20 steps, or once the largest equation defect is below
+    1e-14 or no smaller than at the previous step on the same support, and
+    returns that iterate.  Returns None when the start is not positive at
+    the pivot, a solve fails, or the iterate stops being finite.  The
     caller decides whether the result improves on its input.
     """
     k = h.k
     supp = np.asarray(support, dtype=np.int64)
     if supp.size == 0:
         return None
+    c = np.broadcast_to(np.asarray(c, dtype=np.float64), (h.n,))
     start = as_vector(h, x)
+    p = int(supp[np.argmax(start[supp])])
+    if not start[p] > 0.0:
+        return None
     x = np.zeros(h.n)
-    x[supp] = start[supp]
-    x /= (x ** k).sum() ** (1.0 / k)
-    # d(T x^{k-1})_i/dx_i: d(i) (k-1) x_i^{k-2} for L and Q, nothing for A
-    d = np.zeros(h.n) if kind is TensorKind.ADJACENCY else h.degree_vector
+    x[supp] = start[supp] / start[p]
+    x[p] = 1.0
     last = math.inf
     for _ in range(20):
         xkm1 = x[supp] ** (k - 1)
-        F = np.append(apply(kind, h, x)[supp] - lam * xkm1, (x ** k).sum() - 1.0)
+        F = apply(TensorKind.ADJACENCY, h, x)[supp] + (c[supp] - lam) * xkm1
         size = float(np.abs(F).max())
         # no longer falling: the defect is at its rounding floor
         if size < 1e-14 or size >= last:
             break
         last = size
-        JA = adjacency_jacobian(h, x)[np.ix_(supp, supp)]
-        J = np.zeros((supp.size + 1, supp.size + 1))
-        J[:-1, :-1] = np.diag((d[supp] - lam) * ((k - 1) * x[supp] ** (k - 2)))
-        J[:-1, :-1] += -JA if kind is TensorKind.LAPLACIAN else JA
-        J[:-1, -1] = -xkm1
-        J[-1, :-1] = k * xkm1
+        J = adjacency_jacobian(h, x)[np.ix_(supp, supp)]
+        J[np.diag_indices_from(J)] += (c[supp] - lam) * ((k - 1) * x[supp] ** (k - 2))
+        pivot = supp == p
+        J[:, pivot] = -xkm1[:, None]  # x_p is fixed, so its column solves for lam
         try:
             delta = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             return None
-        x[supp] += delta[:-1]
-        lam += float(delta[-1])
+        x[supp[~pivot]] += delta[~pivot]
+        lam += float(delta[pivot][0])
         if not (np.all(np.isfinite(x)) and math.isfinite(lam)):
             return None
         # a coordinate the step pushes out of the cone leaves the support
         out = x[supp] <= 0.0
-        if out.all():
-            return None
         if out.any():
             x[supp[out]] = 0.0
             supp = supp[~out]
             last = math.inf
-    norm = float((x ** k).sum())
-    if not math.isfinite(norm) or norm <= 0:
-        return None
-    return lam, x / norm ** (1.0 / k)
+    return lam, x
 
 
 def structural_eigenpairs(
@@ -304,50 +351,21 @@ def structural_eigenpairs(
     if h.k < 3:
         raise ValueError(f"structural eigenpairs need k >= 3, got k={h.k}")
     pairs: list[tuple[float, np.ndarray]] = []
-    radius_pairs: tuple[EigenPair, ...] = ()
-    if kind is TensorKind.LAPLACIAN:
-        for j in range(h.n):
-            e_j = np.zeros(h.n)
-            e_j[j] = 1.0
-            pairs.append((float(h.degrees[j]), e_j))
-        pairs.append((0.0, np.ones(h.n)))
-    elif kind is TensorKind.SIGNLESS_LAPLACIAN:
-        for j in range(h.n):
-            e_j = np.zeros(h.n)
-            e_j[j] = 1.0
-            pairs.append((float(h.degrees[j]), e_j))
-        radius_pairs = _polished_component_radii(kind, h, opts, radius)
-    else:
+    if kind is TensorKind.ADJACENCY:
         e_0 = np.zeros(h.n)
         e_0[0] = 1.0
         pairs.append((0.0, e_0))
-        radius_pairs = _polished_component_radii(kind, h, opts, radius)
-    return tuple(verify_eigenpair(kind, h, lam, x) for lam, x in pairs) + radius_pairs
-
-
-def _polished_component_radii(
-    kind: TensorKind,
-    h: Hypergraph,
-    opts: PowerOptions | None,
-    radius: SpectralRadiusResult | None,
-) -> tuple[EigenPair, ...]:
-    """Verified per-component radius pairs, Newton-polished where that helps.
-
-    Each component's pair is polished on the full graph with the component
-    as its support, and the polished pair replaces the power iteration's
-    only when its residual is smaller.
-    """
-    out: list[EigenPair] = []
-    sr = radius if radius is not None else spectral_radius(kind, h, opts)
-    for comp in sr.components:
-        pair = verify_eigenpair(kind, h, comp.value, comp.vector)
-        polished = newton_polish(kind, h, comp.value, comp.vector, comp.vertices)
-        if polished is not None:
-            better = verify_eigenpair(kind, h, *polished)
-            if better.residual < pair.residual:
-                pair = better
-        out.append(pair)
-    return tuple(out)
+    else:
+        for j in range(h.n):
+            e_j = np.zeros(h.n)
+            e_j[j] = 1.0
+            pairs.append((float(h.degrees[j]), e_j))
+    if kind is TensorKind.LAPLACIAN:
+        pairs.append((0.0, np.ones(h.n)))
+    else:
+        sr = radius if radius is not None else spectral_radius(kind, h, opts)
+        pairs += [(comp.value, comp.vector) for comp in sr.components]
+    return tuple(verify_eigenpair(kind, h, lam, x) for lam, x in pairs)
 
 
 def minimal_binary_eigenvectors(h: Hypergraph) -> tuple[np.ndarray, ...]:

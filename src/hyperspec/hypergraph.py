@@ -163,24 +163,33 @@ def degree_stats(h: Hypergraph) -> tuple[int, int, Fraction]:
     return max(h.degrees), min(h.degrees), Fraction(h.k * h.m, h.n)
 
 
+def component_labels(h: Hypergraph, removed: np.ndarray) -> np.ndarray:
+    """label[r, i]: the smallest vertex of i's component in h - removed[r].
+
+    h - j drops vertex j and every edge through it; j = -1 drops nothing.
+    Min-label propagation with pointer jumping, all rows at once, over the
+    (rows, m, k) edge entries; a removed vertex labels itself.
+    """
+    n, idx = h.n, h.edge_index
+    offset = np.repeat(np.arange(removed.size) * n, n)
+    cells = (offset[::n, None, None] + idx)[(idx != removed[:, None, None]).all(axis=2)]
+    label = np.tile(np.arange(n), removed.size)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, cells, label[cells].min(axis=1)[:, None])
+        new = new[offset + new]
+        if np.array_equal(new, label):
+            return label.reshape(removed.size, n)
+        label = new
+
+
 def components(h: Hypergraph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by smallest member."""
-    parent = list(range(h.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in h.edges:
-        r = find(e[0])
-        for v in e[1:]:
-            parent[find(v)] = r
-    groups: dict[int, list[int]] = {}
-    for v in range(h.n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda t: t[0])
+    label = component_labels(h, np.array([-1]))[0]
+    # a stable sort keeps each component ascending, and its label is its smallest member
+    order = np.argsort(label, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    return [tuple(g.tolist()) for g in groups]
 
 
 def is_connected(h: Hypergraph) -> bool:

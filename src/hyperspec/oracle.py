@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .connectivity import project_simplex
 from .eigen import Classification, EigenPair, normalize_eigenvector, verify_eigenpair
 from .hypergraph import Hypergraph
 from .tensor_ops import TensorKind, apply, form
@@ -349,6 +348,22 @@ def grid_extremize_form(
         error_estimate=lip * spread + 2.0 * (last_gain + polish_gain) + 1e-12,
         evaluations=evals,
     )
+
+
+def project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {u >= 0, sum u = 1} (sort and threshold).
+
+    Works row-wise: each row along the last axis of ``v`` is projected on
+    its own, to the same floats a 1-D call on that row returns.
+    """
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    ks = np.arange(1, v.shape[-1] + 1)
+    # the leading entry always passes the test, so every row has a last one that does
+    rho = v.shape[-1] - np.argmax((u - css / ks > 0)[..., ::-1], axis=-1)
+    css_rows = css.reshape(-1, v.shape[-1])
+    tau = css_rows[np.arange(css_rows.shape[0]), rho.ravel() - 1].reshape(rho.shape) / rho
+    return np.maximum(v - tau[..., None], 0.0)
 
 
 def _slice_polish(

@@ -168,6 +168,7 @@ def structural_block(
 def alpha_block(cert: AlphaCertificate, opts: AlphaOptions) -> dict:
     return {
         "value": cert.alpha,
+        "lower_bound": cert.lower_bound,
         "pinned_vertex": cert.pinned_vertex + 1,
         "kkt_residual": cert.kkt_residual,
         "converged": cert.converged,

@@ -195,6 +195,27 @@ def test_alpha_json(capsys, path_file):
     assert min(block["per_vertex_values"]) >= block["value"] - 1e-9
 
 
+def test_starts_and_seed_are_only_echoed(capsys, hub_file):
+    _, plain, _ = run(capsys, ["alpha", "--json", "--starts", "0", "--seed", "0", hub_file])
+    _, other, _ = run(capsys, ["alpha", "--json", "--starts", "32", "--seed", "9", hub_file])
+    assert json.loads(plain)["alpha"]["seed"] == 0
+    assert json.loads(other)["alpha"]["seed"] == 9
+
+    def unechoed(out: str) -> list[str]:
+        return [line for line in out.splitlines() if '"starts":' not in line and '"seed":' not in line]
+
+    assert plain != other
+    assert unechoed(plain) == unechoed(other)
+
+
+def test_alpha_json_carries_the_certified_lower_bound(capsys, path_file):
+    code, out, _ = run(capsys, ["alpha", "--json", path_file])
+    assert code == 0
+    block = json.loads(out)["alpha"]
+    assert block["lower_bound"] <= block["value"] <= block["lower_bound"] + 1e-10
+    assert block["is_upper_bound"] is True
+
+
 # ---------------------------------------------------------------- verify
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,7 @@ from hyperspec import (
     summation_law_check,
 )
 
-from hyperspec import connectivity
-from hyperspec.connectivity import project_simplex
+from hyperspec import connectivity, eigen
 
 from conftest import random_connected, single_edge
 
@@ -94,7 +95,16 @@ def test_alpha_zero_on_disconnected_graphs(hub_graph, two_edge_path):
     cert = analytic_connectivity(u, FAST)
     assert cert.converged
     assert cert.alpha <= 1e-6
-    assert cert.alpha == 0.0  # the component indicator start lands exactly on zero
+    # the all-ones start on the unpinned component is exactly its Perron vector
+    assert cert.alpha == 0.0
+    assert cert.lower_bound == 0.0
+    rng = np.random.default_rng(165)
+    for _ in range(6):
+        k = int(rng.integers(3, 5))
+        parts = [random_connected(rng, k, int(rng.integers(k + 1, 9))) for _ in range(2)]
+        cert = analytic_connectivity(disjoint_union(*parts))
+        assert cert.converged
+        assert cert.alpha == cert.lower_bound == 0.0
 
 
 def test_alpha_is_deterministic(two_edge_path):
@@ -126,6 +136,14 @@ def test_alpha_at_most_min_degree_on_random_graphs():
         assert cert.alpha >= -1e-12
 
 
+def deleted_laplacian_minima(h: Hypergraph) -> list[float]:
+    """Per pin j, the smallest eigenvalue of the k = 2 Laplacian without row and column j."""
+    lap = np.diag(h.degree_vector)
+    for a, b in h.edges:
+        lap[a, b] = lap[b, a] = -1.0
+    return [np.linalg.eigvalsh(np.delete(np.delete(lap, j, 0), j, 1))[0] for j in range(h.n)]
+
+
 def test_k2_per_pin_values_match_deleted_laplacian_eigenvalues():
     # at k = 2 the slice pinned at j minimizes x^T L_j x over the nonnegative
     # unit sphere, with L_j the Laplacian minus row and column j; L_j is a
@@ -134,14 +152,47 @@ def test_k2_per_pin_values_match_deleted_laplacian_eigenvalues():
     for _ in range(8):
         n = int(rng.integers(3, 13))
         h = random_connected(rng, 2, n, max_extra=int(rng.integers(0, 2 * n)))
-        lap = np.diag(h.degree_vector)
-        for a, b in h.edges:
-            lap[a, b] = lap[b, a] = -1.0
         cert = analytic_connectivity(h, FAST)
-        for j in range(n):
-            keep = [i for i in range(n) if i != j]
-            exact = np.linalg.eigvalsh(lap[np.ix_(keep, keep)])[0]
-            assert cert.per_vertex_values[j] == pytest.approx(exact, abs=1e-8), (h.edges, j)
+        assert cert.converged, h.edges
+        assert cert.per_vertex_values == pytest.approx(deleted_laplacian_minima(h), abs=1e-8), h.edges
+
+
+def test_k2_alpha_bracket_contains_the_matrix_minimum():
+    # eigvalsh and the brackets each round at about n * max degree * 2**-53,
+    # far below this allowance
+    slack = 1e-12
+    rng = np.random.default_rng(135)
+    for n in (5, 10, 15, 20, 25, 30):
+        for _ in range(2):
+            h = random_connected(rng, 2, n, max_extra=int(rng.integers(0, 2 * n)))
+            cert = analytic_connectivity(h)
+            exact = min(deleted_laplacian_minima(h))
+            assert cert.converged, h.edges
+            assert cert.lower_bound - slack <= exact <= cert.alpha + slack, h.edges
+            assert cert.alpha - cert.lower_bound <= 1e-10
+
+
+def test_alpha_bracket_closes_on_random_graphs():
+    rng = np.random.default_rng(145)
+    for _ in range(12):
+        k = int(rng.integers(3, 6))
+        h = random_connected(rng, k, int(rng.integers(k + 1, 12)))
+        cert = analytic_connectivity(h)
+        assert cert.converged
+        assert 0.0 <= cert.lower_bound <= cert.alpha <= cert.lower_bound + 1e-10
+        for lo, value in zip(cert.per_vertex_lower_bounds, cert.per_vertex_values):
+            assert lo <= value <= lo + 1e-10
+
+
+def test_relabelling_gives_overlapping_alpha_brackets():
+    rng = np.random.default_rng(175)
+    for _ in range(6):
+        k = int(rng.integers(3, 5))
+        h = random_connected(rng, k, int(rng.integers(k + 1, 10)))
+        perm = rng.permutation(h.n)
+        relabelled = Hypergraph.from_edges(k, h.n, [[int(perm[v]) for v in e] for e in h.edges])
+        a, b = analytic_connectivity(h), analytic_connectivity(relabelled)
+        assert max(a.lower_bound, b.lower_bound) <= min(a.alpha, b.alpha)
 
 
 def golden_graph(request, name: str) -> Hypergraph:
@@ -210,31 +261,29 @@ def test_batched_solver_matches_recorded_per_pin_values(name, request):
     cert = analytic_connectivity(golden_graph(request, name), FAST)
     values, pinned, converged = GOLDEN_PER_PIN[name]
     assert cert.per_vertex_values == pytest.approx(values, abs=1e-12)
-    assert cert.pinned_vertex == pinned
+    # pins tied by symmetry differ in the last bits, so the winner is any pin
+    # tied with the recorded one at the same 1e-12
+    assert cert.per_vertex_values[cert.pinned_vertex] == cert.alpha == min(cert.per_vertex_values)
+    assert values[cert.pinned_vertex] == pytest.approx(values[pinned], abs=1e-12)
     assert cert.converged is converged
+    # the recorded values lie in the certified per-pin brackets, and no
+    # value rose above its record, both up to the same 1e-12
+    for lo, value, recorded in zip(cert.per_vertex_lower_bounds, cert.per_vertex_values, values):
+        assert lo - 1e-12 <= recorded
+        assert value <= recorded + 1e-12
 
 
 @pytest.mark.parametrize("name, rows", [("hub_graph", 2), ("union", 1), ("union", 3)])
 def test_working_set_capacity_does_not_change_the_answer(name, rows, request, monkeypatch):
-    # one live row at a time is the start-by-start order; a few rows force
-    # refills and, on the union, drops of rows after a start that reached 0
+    # one live row at a time, or a few that force refills, gives the same
+    # floats as the full working set
     h = golden_graph(request, name)
     want = analytic_connectivity(h, FAST)
-    monkeypatch.setattr(connectivity, "ROW_ENTRY_CAP", rows * h.m * h.k)
+    monkeypatch.setattr(eigen, "ROW_ENTRY_CAP", rows * h.m * h.k)
     got = analytic_connectivity(h, FAST)
     assert got.per_vertex_values == want.per_vertex_values
     assert np.array_equal(got.minimizer, want.minimizer)
     assert got.converged == want.converged
-
-
-def test_project_simplex_rows_match_one_dimensional_calls():
-    rng = np.random.default_rng(85)
-    v = rng.normal(size=(40, 9)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1))
-    rows = project_simplex(v)
-    for r in range(v.shape[0]):
-        assert np.array_equal(rows[r], project_simplex(v[r]))
-        assert rows[r].min() >= 0.0
-        assert rows[r].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kkt_residual_matches_loop_reference():
@@ -259,41 +308,6 @@ def test_kkt_residual_matches_loop_reference():
         x[pinned] = 0.0
         mu = float(rng.random())
         assert connectivity._kkt_residual(h, pinned, x, mu) == loop_residual(h, pinned, x, mu)
-
-
-def test_slice_gradient_release_matches_maximum_at_reference():
-    def reference_gradients(h, u):
-        # the release test as the largest, over edges through i, of the
-        # smallest u among the other vertices, scattered by np.maximum.at
-        k, (rows, n) = h.k, u.shape
-        u = np.maximum(u, 0.0)
-        x = u ** (1.0 / k)
-        a = apply(TensorKind.ADJACENCY, h, x)
-        active = u > connectivity.EPS_U
-        ratio = np.zeros_like(u)
-        ratio[active] = a[active] / (x ** (k - 1))[active]
-        ue = np.take(u, h.edge_index, axis=1)
-        others = np.stack([np.delete(ue, j, axis=-1).min(axis=-1) for j in range(k)], axis=-1)
-        release = np.zeros(u.size)
-        np.maximum.at(release, np.arange(rows)[:, None, None] * n + h.edge_index, others)
-        ratio[~active & (release.reshape(rows, n) > 1e-9)] = connectivity.RATIO_CAP
-        return h.degree_vector - np.minimum(ratio, connectivity.RATIO_CAP)
-
-    rng = np.random.default_rng(115)
-    released = held = 0
-    for k in range(2, 9):
-        for _ in range(4):
-            h = random_connected(rng, k, int(rng.integers(k + 1, k + 9)), max_extra=30)
-            u = rng.random((6, h.n))
-            # exact zeros, the 1e-9 release threshold itself, and values either side of it
-            for value, share in ((0.0, 0.3), (1e-9, 0.15), (np.nextafter(1e-9, 1), 0.1), (1e-14, 0.1)):
-                u[rng.random(u.shape) < share] = value
-            want = reference_gradients(h, u)
-            assert np.array_equal(connectivity._slice_gradients(h, u), want)
-            pulled = want == h.degree_vector - connectivity.RATIO_CAP
-            released += pulled.sum()
-            held += (~pulled & (u <= connectivity.EPS_U)).sum()
-    assert released > 0 and held > 0
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +385,22 @@ def test_connectivity_bound_report_on_connected_graphs():
         cert = analytic_connectivity(h, AlphaOptions(starts=8, seed=2))
         rep = connectivity_bound_report(h, cert, cut_numbers(h))
         assert rep.all_hold, [c for c in rep.checks if not c.holds]
+
+
+def test_bound_report_flags_a_violated_cut_bound_once(hub_graph, monkeypatch):
+    # (n/k) * alpha = 4 > e(G) = 2 while alpha = 1.5 stays below delta = 2
+    cert = replace(analytic_connectivity(hub_graph), alpha=1.5)
+
+    def no_resolve(*args, **kwargs):
+        raise AssertionError("the bound report must not re-solve alpha")
+
+    monkeypatch.setattr(connectivity, "analytic_connectivity", no_resolve)
+    rep = connectivity_bound_report(hub_graph, cert, cut_numbers(hub_graph))
+    failed = [c for c in rep.checks if not c.holds]
+    assert [c.bound_id for c in failed] == ["edge_connectivity_at_least_scaled_alpha"]
+    assert failed[0].lhs == pytest.approx(4.0 - 1e-6)
+    assert "defect" in failed[0].note
+    assert [c.bound_id for c in rep.checks].count(failed[0].bound_id) == 1
 
 
 def test_connectivity_bound_report_on_disconnected_graph(hub_graph, two_edge_path):

@@ -21,7 +21,7 @@ from hyperspec import (
     verify_eigenpair,
 )
 
-from hyperspec.eigen import _restrict, newton_polish
+from hyperspec.eigen import newton_polish
 
 from conftest import random_connected, single_edge
 
@@ -174,13 +174,30 @@ def test_disjoint_union_radius_is_componentwise_max(hub_graph, two_edge_path):
         assert len(whole.components) == 2
         got = sorted(c.value for c in whole.components)
         assert got == pytest.approx(sorted(parts), abs=2e-10)
+    # the union's radius bracket overlaps that of its largest part
+    rng = np.random.default_rng(165)
+    for _ in range(6):
+        k = int(rng.integers(3, 5))
+        parts = [random_connected(rng, k, int(rng.integers(k + 1, 9))) for _ in range(2)]
+        union = disjoint_union(*parts)
+        for kind in (TensorKind.ADJACENCY, TensorKind.SIGNLESS_LAPLACIAN):
+            whole = spectral_radius(kind, union)
+            part = max((spectral_radius(kind, p) for p in parts), key=lambda r: r.value)
+            lo, hi = max(whole.components, key=lambda c: c.value).bracket
+            plo, phi = part.components[0].bracket
+            assert max(lo, plo) <= min(hi, phi)
+            assert whole.value == pytest.approx(part.value, abs=1e-13)
 
 
-def test_connected_graph_is_its_own_component_subgraph(hub_graph, two_edge_path):
-    assert _restrict(hub_graph, tuple(range(hub_graph.n))) is hub_graph
-    u = disjoint_union(hub_graph, two_edge_path)
-    part = _restrict(u, tuple(range(hub_graph.n, u.n)))
-    assert part.edges == two_edge_path.edges
+def test_radius_pair_residuals_of_a_mid_size_k4_graph():
+    rng = np.random.default_rng(185)
+    h = random_connected(rng, 4, 60, max_extra=1500)
+    for kind in (TensorKind.ADJACENCY, TensorKind.SIGNLESS_LAPLACIAN):
+        res = spectral_radius(kind, h)
+        assert res.converged
+        pair = structural_eigenpairs(kind, h, radius=res)[-1]
+        assert pair.classification is Classification.H_PLUS_PLUS
+        assert pair.residual <= 1e-12
 
 
 def test_nonconvergence_is_reported_not_raised(hub_graph):
@@ -257,13 +274,13 @@ def test_newton_polish_lands_on_matrix_eigenvalue_at_k2():
         adj = np.zeros((h.n, h.n))
         for i, j in h.edges:
             adj[i, j] = adj[j, i] = 1.0
-        for kind, matrix in (
-            (TensorKind.ADJACENCY, adj),
-            (TensorKind.SIGNLESS_LAPLACIAN, np.diag(h.degree_vector) + adj),
+        for kind, c in (
+            (TensorKind.ADJACENCY, np.zeros(h.n)),
+            (TensorKind.SIGNLESS_LAPLACIAN, h.degree_vector),
         ):
-            values, vectors = np.linalg.eigh(matrix)
+            values, vectors = np.linalg.eigh(np.diag(c) + adj)
             start = np.abs(vectors[:, -1]) * (1.0 + 0.05 * rng.random(h.n))
-            lam, x = newton_polish(kind, h, values[-1] + 0.05, start, range(h.n))
+            lam, x = newton_polish(h, c, values[-1] + 0.05, start, range(h.n))
             assert lam == pytest.approx(values[-1], abs=1e-12)
             assert verify_eigenpair(kind, h, lam, x).residual <= 1e-12
 
@@ -272,12 +289,13 @@ def test_newton_polish_lands_on_matrix_eigenvalue_at_k2():
 def test_newton_polish_each_component_on_the_full_graph(k, sizes):
     rng = np.random.default_rng(k)
     u = disjoint_union(*(random_connected(rng, k, n) for n in sizes))
-    for kind in (TensorKind.ADJACENCY, TensorKind.SIGNLESS_LAPLACIAN):
-        loose = spectral_radius(kind, u, PowerOptions(tol=1e-4))
+    for kind, c in ((TensorKind.ADJACENCY, 0.0), (TensorKind.SIGNLESS_LAPLACIAN, u.degree_vector)):
+        # a tolerance above the kernel's POLISH_GAP stops it before its own polish
+        loose = spectral_radius(kind, u, PowerOptions(tol=1e-2))
         assert len(loose.components) == 2
         for comp in loose.components:
             assert verify_eigenpair(kind, u, comp.value, comp.vector).residual > 1e-8
-            lam, x = newton_polish(kind, u, comp.value, comp.vector, comp.vertices)
+            lam, x = newton_polish(u, c, comp.value, comp.vector, comp.vertices)
             assert support(x) == list(comp.vertices)
             assert verify_eigenpair(kind, u, lam, x).residual <= 1e-12
 

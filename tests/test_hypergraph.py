@@ -18,6 +18,8 @@ from hyperspec import (
     parse_hypergraph,
 )
 
+from hyperspec.hypergraph import component_labels
+
 from conftest import random_connected, single_edge
 
 
@@ -106,6 +108,39 @@ def test_components_and_connectivity(hub_graph, two_edge_path):
     u = disjoint_union(hub_graph, two_edge_path)
     assert not is_connected(u)
     assert components(u) == [tuple(range(8)), tuple(range(8, 12))]
+
+
+def test_component_labels_match_union_find_reference():
+    def reference(h, removed):
+        # union-find over the edges that avoid the removed vertex
+        parent = list(range(h.n))
+
+        def find(a):
+            while parent[a] != a:
+                a = parent[a]
+            return a
+
+        for e in h.edges:
+            if removed not in e:
+                for v in e[1:]:
+                    parent[find(v)] = find(e[0])
+        groups = {}
+        for v in range(h.n):
+            groups.setdefault(find(v), []).append(v)
+        return [min(groups[find(v)]) for v in range(h.n)]
+
+    rng = np.random.default_rng(105)
+    for _ in range(12):
+        k = int(rng.integers(2, 5))
+        parts = [random_connected(rng, k, int(rng.integers(k, 9))) for _ in range(int(rng.integers(1, 4)))]
+        h = parts[0]
+        for p in parts[1:]:
+            h = disjoint_union(h, p)
+        removed = np.arange(-1, h.n)
+        got = component_labels(h, removed)
+        for r, j in enumerate(removed.tolist()):
+            assert got[r].tolist() == reference(h, j)
+        assert components(h) == sorted({tuple(np.flatnonzero(got[0] == v).tolist()) for v in got[0]})
 
 
 def test_disjoint_union_shifts_edges_and_keeps_degrees(hub_graph, two_edge_path):

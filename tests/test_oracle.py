@@ -26,6 +26,7 @@ from hyperspec import (
     subset_enumerate,
 )
 from hyperspec.eigen import normalize_eigenvector
+from hyperspec.oracle import project_simplex
 
 from conftest import random_connected, single_edge
 
@@ -172,6 +173,16 @@ def test_grid_pinned_minimum_cross_checks_alpha(two_edge_path):
     # error estimate of the solver's certificate
     assert res.value >= cert.alpha - 1e-9
     assert abs(res.value - cert.alpha) <= max(res.error_estimate, 1e-6)
+
+
+def test_project_simplex_rows_match_one_dimensional_calls():
+    rng = np.random.default_rng(85)
+    v = rng.normal(size=(40, 9)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1))
+    rows = project_simplex(v)
+    for r in range(v.shape[0]):
+        assert np.array_equal(rows[r], project_simplex(v[r]))
+        assert rows[r].min() >= 0.0
+        assert rows[r].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_rejects_large_graphs_and_bad_objectives(hub_graph, two_edge_path):
