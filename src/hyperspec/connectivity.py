@@ -34,6 +34,9 @@ from .tensor_ops import TensorKind, apply, form
 BRACKET_TOL = 1e-10
 # alpha values at or below this count as zero (disconnected graph)
 ALPHA_ZERO_TOL = 1e-6
+# per-pin values within this of the least count as tied; pins that a symmetry
+# of G maps onto each other differ by rounding only
+TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,8 @@ def analytic_connectivity(
     A + diag(-d) on C, whose root is minus the slice minimum on C, run for
     at most ``opts.max_iter`` power steps.  A pin's value is the form at
     its row of largest root, scaled to sum x^k = 1; its lower bound is minus
-    the largest upper bracket end over its rows.  ``opts.starts`` and
+    the largest upper bracket end over its rows.  alpha is the value of the
+    lowest pin within TIE_TOL of the least value.  ``opts.starts`` and
     ``opts.seed`` are not read.
     """
     opts = opts or AlphaOptions()
@@ -131,7 +135,8 @@ def analytic_connectivity(
     values = np.maximum(form(TensorKind.LAPLACIAN, h, x) / (x**k).sum(axis=1), 0.0)
     # a lower bound may drop to the value it bounds where rounding lifts it past
     lower = np.clip(-np.maximum.reduceat(rows.hi, bounds[:-1]), 0.0, values)
-    pinned = int(np.argmin(values))  # ties resolve to the lowest vertex id
+    # ties resolve to the lowest vertex id
+    pinned = int(np.flatnonzero(values <= values.min() + TIE_TOL)[0])
     minimizer = x[pinned] / float((x[pinned] ** k).sum()) ** (1.0 / k)
     alpha = float(values[pinned])
     return AlphaCertificate(

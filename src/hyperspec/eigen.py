@@ -88,7 +88,7 @@ class PerronRows:
     hi: np.ndarray
     vectors: np.ndarray  # (rows, n): zero off the row's mask, sup-norm 1
     iterations: np.ndarray  # power steps run
-    converged: np.ndarray  # the bracket closed to within tol
+    converged: np.ndarray  # the bracket closed to within tol in max_iter power steps
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,21 @@ def _ratio_bracket(
     return y, lo, hi
 
 
+def _polished(
+    h: Hypergraph, x: np.ndarray, mask: np.ndarray, c: np.ndarray, shift: float, lo: float, hi: float
+) -> tuple[np.ndarray, np.ndarray, float, float] | None:
+    """(x, y, lo, hi) of ``_ratio_bracket`` at the Newton-polished x of one row, or
+    None when the polish fails, leaves the mask's interior, or does not narrow [lo, hi]."""
+    out = newton_polish(h, c, 0.5 * (lo + hi), x, np.flatnonzero(mask))
+    if out is None or not np.all(out[1][mask] > 0.0):
+        return None
+    xp = out[1] / out[1].max()
+    yp, plo, phi = _ratio_bracket(h, xp[None], mask[None], c[None], shift)
+    if phi[0] - plo[0] >= hi - lo:
+        return None
+    return xp, yp[0], float(plo[0]), float(phi[0])
+
+
 def perron_rows(
     h: Hypergraph,
     masks: np.ndarray,
@@ -174,10 +189,13 @@ def perron_rows(
     row's bracket is narrower than POLISH_GAP it is Newton-polished on its
     mask, and again whenever it has narrowed by that factor since the last
     try; the bracket at a polished vector positive on the whole mask
-    replaces the power iterate's when it is narrower.  A row ends when its bracket is at most
-    ``tol`` wide (converged) or after ``max_iter`` power steps.  One (rows,
-    n) ``apply`` steps all live rows, and at most ROW_ENTRY_CAP // (m k)
-    rows are live at a time; a row's floats do not depend on the others.
+    replaces the power iterate's when it is narrower.  A row ends when its
+    bracket is at most ``tol`` wide (converged) or after ``max_iter`` power
+    steps.  A row that ends before its first try (a loose ``tol`` or a small
+    ``max_iter``) gets one then, on the same terms; it does not change the
+    row's ``converged``.  One (rows, n) ``apply`` steps all live rows, and
+    at most ROW_ENTRY_CAP // (m k) rows are live at a time; a row's floats
+    do not depend on the others.
     """
     rows, n = masks.shape
     k = h.k
@@ -198,14 +216,9 @@ def perron_rows(
         for i in np.flatnonzero((gap > tol) & (gap <= polish_at[live])):
             r = live[i]
             polish_at[r] = gap[i] * POLISH_GAP
-            mid = 0.5 * (lo[r] + hi[r])
-            out = newton_polish(h, c[r], mid, x[r], np.flatnonzero(masks[r]))
-            if out is None or not np.all(out[1][masks[r]] > 0.0):
-                continue
-            xp = out[1] / out[1].max()
-            yp, plo, phi = _ratio_bracket(h, xp[None], masks[r : r + 1], c[r : r + 1], shift)
-            if phi[0] - plo[0] < gap[i]:
-                x[r], y[i], lo[r], hi[r] = xp, yp[0], plo[0], phi[0]
+            better = _polished(h, x[r], masks[r], c[r], shift, lo[r], hi[r])
+            if better is not None:
+                x[r], y[i], lo[r], hi[r] = better
         going = (hi[live] - lo[live] > tol) & (iterations[live] < max_iter)
         step = y[going] ** (1.0 / (k - 1))
         step /= step.max(axis=1, keepdims=True)
@@ -213,7 +226,13 @@ def perron_rows(
         x[kept] = np.where(masks[kept], np.maximum(step, floor), 0.0)
         fresh = np.fromiter(itertools.islice(pending, capacity - kept.size), dtype=np.int64)
         live = np.concatenate([kept, fresh])
-    return PerronRows(lo=lo, hi=hi, vectors=x, iterations=iterations, converged=hi - lo <= tol)
+    converged = hi - lo <= tol
+    # polish_at is still POLISH_GAP on exactly the rows never tried
+    for r in np.flatnonzero((polish_at == POLISH_GAP) & (hi > lo)):
+        better = _polished(h, x[r], masks[r], c[r], shift, lo[r], hi[r])
+        if better is not None:
+            x[r], _, lo[r], hi[r] = better
+    return PerronRows(lo=lo, hi=hi, vectors=x, iterations=iterations, converged=converged)
 
 
 def spectral_radius(
@@ -283,8 +302,8 @@ def newton_polish(
     at a simple eigenvalue of the principal block on S, nonsingular.  A
     coordinate that a step takes to 0 or below is set to 0 and leaves S.
     Stops after 20 steps, or once the largest equation defect is below
-    1e-14 or no smaller than at the previous step on the same support, and
-    returns that iterate.  Returns None when the start is not positive at
+    1e-14, or below 1e-10 and no smaller than at the previous step on the
+    same support, and returns that iterate.  Returns None when the start is not positive at
     the pivot, a solve fails, or the iterate stops being finite.  The
     caller decides whether the result improves on its input.
     """
@@ -305,8 +324,9 @@ def newton_polish(
         xkm1 = x[supp] ** (k - 1)
         F = apply(TensorKind.ADJACENCY, h, x)[supp] + (c[supp] - lam) * xkm1
         size = float(np.abs(F).max())
-        # no longer falling: the defect is at its rounding floor
-        if size < 1e-14 or size >= last:
+        # no longer falling once small: the defect is at its rounding floor;
+        # far from the root Newton may rise before it falls
+        if size < 1e-14 or (size >= last and size <= 1e-10):
             break
         last = size
         J = adjacency_jacobian(h, x)[np.ix_(supp, supp)]

@@ -267,6 +267,23 @@ def test_structural_pairs_per_component(hub_graph, two_edge_path):
         assert p.residual <= 1e-12
 
 
+@pytest.mark.parametrize("opts", [PowerOptions(tol=1e-2), PowerOptions(max_iter=2)])
+def test_structural_radius_pairs_are_polished_when_the_iteration_stops_early(hub_graph, opts):
+    # the bracket is still wider than POLISH_GAP when the iteration stops, so
+    # only the finishing polish makes these pairs eigenpairs
+    u = disjoint_union(hub_graph, hub_graph)
+    for kind in (TensorKind.ADJACENCY, TensorKind.SIGNLESS_LAPLACIAN):
+        pairs = [p for p in structural_eigenpairs(kind, u, opts) if len(support(p.vector)) > 1]
+        assert len(pairs) == 2
+        for p in pairs:
+            assert p.classification is Classification.H_PLUS_STRICT
+            assert p.residual <= 1e-12
+    for kind in (TensorKind.ADJACENCY, TensorKind.SIGNLESS_LAPLACIAN):
+        pair = structural_eigenpairs(kind, hub_graph, opts)[-1]
+        assert pair.classification is Classification.H_PLUS_PLUS
+        assert pair.residual <= 1e-12
+
+
 def test_newton_polish_lands_on_matrix_eigenvalue_at_k2():
     rng = np.random.default_rng(7)
     for _ in range(6):
@@ -285,17 +302,27 @@ def test_newton_polish_lands_on_matrix_eigenvalue_at_k2():
             assert verify_eigenpair(kind, h, lam, x).residual <= 1e-12
 
 
+def test_newton_polish_goes_on_while_the_defect_rises_far_from_the_root(hub_graph):
+    # from the all-ones start the defect rises on the first step before it falls
+    for lam in (3.0, 4.0, 5.0):
+        value, x = newton_polish(hub_graph, 0.0, lam, np.ones(hub_graph.n), range(hub_graph.n))
+        assert value == pytest.approx(HUB_ADJ_RADIUS, abs=1e-8)
+        assert verify_eigenpair(TensorKind.ADJACENCY, hub_graph, value, x).residual <= 1e-12
+
+
 @pytest.mark.parametrize("k, sizes", [(3, (7, 6)), (4, (8, 6))])
 def test_newton_polish_each_component_on_the_full_graph(k, sizes):
     rng = np.random.default_rng(k)
     u = disjoint_union(*(random_connected(rng, k, n) for n in sizes))
     for kind, c in ((TensorKind.ADJACENCY, 0.0), (TensorKind.SIGNLESS_LAPLACIAN, u.degree_vector)):
-        # a tolerance above the kernel's POLISH_GAP stops it before its own polish
-        loose = spectral_radius(kind, u, PowerOptions(tol=1e-2))
-        assert len(loose.components) == 2
-        for comp in loose.components:
-            assert verify_eigenpair(kind, u, comp.value, comp.vector).residual > 1e-8
-            lam, x = newton_polish(u, c, comp.value, comp.vector, comp.vertices)
+        radius = spectral_radius(kind, u)
+        assert len(radius.components) == 2
+        for comp in radius.components:
+            # the kernel returns polished pairs, so start from a perturbed one
+            start = comp.vector * (1.0 + 1e-3 * rng.random(u.n))
+            value = comp.value + 1e-3
+            assert verify_eigenpair(kind, u, value, start).residual > 1e-8
+            lam, x = newton_polish(u, c, value, start, comp.vertices)
             assert support(x) == list(comp.vertices)
             assert verify_eigenpair(kind, u, lam, x).residual <= 1e-12
 
