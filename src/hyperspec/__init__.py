@@ -12,13 +12,10 @@ __version__ = "0.1.0"
 from .connectivity import (
     AlphaCertificate,
     AlphaOptions,
-    CutExtremum,
     CutNumbers,
     analytic_connectivity,
     connectivity_bound_report,
     cut_numbers,
-    edge_connectivity_bruteforce,
-    max_cut_bruteforce,
     summation_law_check,
 )
 from .eigen import (
@@ -74,7 +71,6 @@ __all__ = [
     "BoundReport",
     "Classification",
     "ComponentRadius",
-    "CutExtremum",
     "CutInfo",
     "CutNumbers",
     "Definiteness",
@@ -98,14 +94,12 @@ __all__ = [
     "cut_numbers",
     "degree_stats",
     "disjoint_union",
-    "edge_connectivity_bruteforce",
     "edge_form",
     "elementwise_power",
     "form",
     "form_gradient",
     "grid_extremize_form",
     "is_connected",
-    "max_cut_bruteforce",
     "minimal_binary_eigenvectors",
     "newton_eigen_enumerate",
     "parse_hypergraph",

@@ -11,10 +11,10 @@ over the connected components C of G - j: a global minimum, not a local
 one.
 
 Every (pin j, component C of G - j) pair is one row of
-``eigen.perron_rows`` with mask C, c = -d and shift sigma = max degree + 1,
-whose root is that of T_j on C less sigma.  So all slices run through one
-row-batched shifted power iteration with a Newton finish (see there), and
-each row returns a Collatz-Wielandt bracket.  The reported alpha is the form at a
+``eigen.perron_rows`` with mask C and c = -d, whose root is that of T_j on
+C less sigma.  So all slices run through one row-batched shifted power
+iteration with a Newton finish (see there), and each row returns a
+Collatz-Wielandt bracket.  The reported alpha is the form at a
 feasible point, the pin's best Perron vector scaled to sum x^k = 1, so it is
 an upper bound; the brackets give the certified ``lower_bound``.
 """
@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .eigen import ROW_ENTRY_CAP, BoundCheck, BoundReport, make_check, perron_rows
-from .hypergraph import Hypergraph, component_labels, degree_stats, is_connected
+from .hypergraph import Hypergraph, component_masks, degree_stats, is_connected
 from .tensor_ops import TensorKind, apply, form
 
 # every slice bracket must close to this width for the solve to count as converged
@@ -79,18 +79,13 @@ def _slice_rows(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     Rows come pin by pin, and a pin's components by smallest vertex.  Pins
     are labelled ROW_ENTRY_CAP // (m k) at a time.
     """
-    n = h.n
     step = max(1, ROW_ENTRY_CAP // (h.m * h.k))
     pins, masks = [], []
-    for first in range(0, n, step):
-        chunk = np.arange(first, min(n, first + step))
-        label = component_labels(h, chunk)
-        # a component's smallest vertex labels itself, and so does the pin,
-        # which is in no component
-        r, smallest = np.nonzero(label == np.arange(n))
-        r, smallest = r[smallest != chunk[r]], smallest[smallest != chunk[r]]
-        pins.append(chunk[r])
-        masks.append(label[r] == smallest[:, None])
+    for first in range(0, h.n, step):
+        chunk = np.arange(first, min(h.n, first + step))
+        row, mask = component_masks(h, chunk)
+        pins.append(chunk[row])
+        masks.append(mask)
     return np.concatenate(pins), np.concatenate(masks)
 
 
@@ -123,9 +118,7 @@ def analytic_connectivity(
     opts = opts or AlphaOptions()
     n, k = h.n, h.k
     pins, masks = _slice_rows(h)
-    rows = perron_rows(
-        h, masks, -h.degree_vector, float(max(h.degrees) + 1), BRACKET_TOL, opts.max_iter
-    )
+    rows = perron_rows(h, masks, -h.degree_vector, BRACKET_TOL, opts.max_iter)
     # every pin has a row, since G - j keeps n - 1 >= 1 vertices
     bounds = np.searchsorted(pins, np.arange(n + 1))
     mid = 0.5 * (rows.lo + rows.hi)
@@ -149,13 +142,6 @@ def analytic_connectivity(
         lower_bound=float(lower.min()),
         per_vertex_lower_bounds=tuple(float(v) for v in lower),
     )
-
-
-@dataclass(frozen=True)
-class CutExtremum:
-    value: int
-    witness: tuple[int, ...]  # lexicographically smallest attaining subset
-    connected: bool
 
 
 @dataclass(frozen=True)
@@ -218,22 +204,6 @@ def cut_numbers(h: Hypergraph) -> CutNumbers:
         max_witness=_extreme_witness(masks, sizes, hi),
         connected=lo > 0,
     )
-
-
-def edge_connectivity_bruteforce(h: Hypergraph) -> CutExtremum:
-    """Minimum number of crossing edges over all proper vertex subsets.
-
-    A disconnected graph yields 0 with a component as witness; the flag
-    records that degenerate case.
-    """
-    cuts = cut_numbers(h)
-    return CutExtremum(cuts.edge_connectivity, cuts.min_witness, cuts.connected)
-
-
-def max_cut_bruteforce(h: Hypergraph) -> CutExtremum:
-    """Maximum number of crossing edges over all proper vertex subsets."""
-    cuts = cut_numbers(h)
-    return CutExtremum(cuts.max_cut, cuts.max_witness, cuts.connected)
 
 
 def connectivity_bound_report(

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, components, degree_stats
+from .hypergraph import Hypergraph, component_masks, degree_stats
 from .tensor_ops import TensorKind, adjacency_jacobian, apply, as_vector
 
 # entries within this of zero (after sup-norm scaling) count as zero; entries
@@ -62,12 +62,10 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class PowerOptions:
-    """Knobs for the shifted higher-order power iteration."""
+    """Stopping rule of the shifted higher-order power iteration."""
 
     tol: float = 1e-10
-    max_iter: int = 100_000
-    shift: float | None = None  # default: max degree + 1
-    start: np.ndarray | None = None  # positive start vector, full length
+    max_iter: int = 100_000  # power steps per component
 
 
 @dataclass(frozen=True)
@@ -152,9 +150,9 @@ def _polished(
     h: Hypergraph, x: np.ndarray, mask: np.ndarray, c: np.ndarray, shift: float, lo: float, hi: float
 ) -> tuple[np.ndarray, np.ndarray, float, float] | None:
     """(x, y, lo, hi) of ``_ratio_bracket`` at the Newton-polished x of one row, or
-    None when the polish fails, leaves the mask's interior, or does not narrow [lo, hi]."""
+    None when the polish fails or does not narrow [lo, hi]."""
     out = newton_polish(h, c, 0.5 * (lo + hi), x, np.flatnonzero(mask))
-    if out is None or not np.all(out[1][mask] > 0.0):
+    if out is None:
         return None
     xp = out[1] / out[1].max()
     yp, plo, phi = _ratio_bracket(h, xp[None], mask[None], c[None], shift)
@@ -167,41 +165,42 @@ def perron_rows(
     h: Hypergraph,
     masks: np.ndarray,
     c: np.ndarray,
-    shift: float,
     tol: float,
     max_iter: int,
-    start: np.ndarray | None = None,
 ) -> PerronRows:
     """Perron root of A + diag(c) on the vertex set of each row of ``masks``.
 
     Each row is a (mask, c) pair; ``c`` is one length-n vector or one per
-    row.  The mask must be connected through edges that lie inside it, and
-    A acts on it through those edges only: x is 0 off the mask, so an edge
-    leaving it contributes nothing there.  ``shift`` + c must be positive on
-    the mask, which makes the block primitive.  Each row then runs the
-    shifted power iteration (NQZ)
+    row, at least -d on the mask.  The mask must be connected through edges
+    that lie inside it, and A acts on it through those edges only: x is 0
+    off the mask, so an edge leaving it contributes nothing there.  With
+    shift = max degree + 1, shift + c is positive on the mask, which makes
+    the block primitive.  Each row then runs the shifted power iteration
+    (NQZ)
 
         x <- ((A x^{k-1} + (c + shift) x^{[k-1]}) on the mask)^{1/(k-1)}
 
-    from ``start`` (default all ones) scaled to sup-norm 1.  At every
-    positive x the least and largest ratio (A x^{k-1} + c x^{[k-1]})_i /
-    x_i^{k-1} over the mask bracket the root (Collatz-Wielandt).  Once a
-    row's bracket is narrower than POLISH_GAP it is Newton-polished on its
-    mask, and again whenever it has narrowed by that factor since the last
-    try; the bracket at a polished vector positive on the whole mask
+    from the all-ones vector on its mask.  The root has exactly one positive
+    eigenvector, so neither the shift nor the start changes the answer,
+    only the path to it.  At every positive x the least and largest ratio
+    (A x^{k-1} + c x^{[k-1]})_i / x_i^{k-1} over the mask bracket the root
+    (Collatz-Wielandt).  Once a row's bracket is narrower than POLISH_GAP it
+    is Newton-polished on its mask, and again whenever it has narrowed by
+    that factor since the last try; the bracket at the polished vector
     replaces the power iterate's when it is narrower.  A row ends when its
     bracket is at most ``tol`` wide (converged) or after ``max_iter`` power
-    steps.  A row that ends before its first try (a loose ``tol`` or a small
+    steps; ``iterations`` counts the steps, not the bracket at the start.  A
+    row that ends before its first try (a loose ``tol`` or a small
     ``max_iter``) gets one then, on the same terms; it does not change the
     row's ``converged``.  One (rows, n) ``apply`` steps all live rows, and
     at most ROW_ENTRY_CAP // (m k) rows are live at a time; a row's floats
     do not depend on the others.
     """
-    rows, n = masks.shape
+    rows = masks.shape[0]
     k = h.k
+    shift = float(max(h.degrees) + 1)
     c = np.broadcast_to(np.asarray(c, dtype=np.float64), masks.shape)
-    x = np.where(masks, 1.0 if start is None else start, 0.0)
-    x /= x.max(axis=1, keepdims=True)
+    x = masks.astype(np.float64)
     lo, hi = np.zeros(rows), np.zeros(rows)
     iterations = np.zeros(rows, dtype=np.int64)
     polish_at = np.full(rows, POLISH_GAP)
@@ -211,7 +210,6 @@ def perron_rows(
     live = np.fromiter(itertools.islice(pending, capacity), dtype=np.int64)
     while live.size:
         y, lo[live], hi[live] = _ratio_bracket(h, x[live], masks[live], c[live], shift)
-        iterations[live] += 1
         gap = hi[live] - lo[live]
         for i in np.flatnonzero((gap > tol) & (gap <= polish_at[live])):
             r = live[i]
@@ -224,6 +222,7 @@ def perron_rows(
         step /= step.max(axis=1, keepdims=True)
         kept = live[going]
         x[kept] = np.where(masks[kept], np.maximum(step, floor), 0.0)
+        iterations[kept] += 1
         fresh = np.fromiter(itertools.islice(pending, capacity - kept.size), dtype=np.int64)
         live = np.concatenate([kept, fresh])
     converged = hi - lo <= tol
@@ -243,38 +242,27 @@ def spectral_radius(
     """Largest H-eigenvalue of A or Q, computed per connected component.
 
     Every component is one row of ``perron_rows``, with c = 0 for A and
-    c = d for Q.  The radius of the whole graph is the maximum over
-    components; each component carries a positive witness vector.  The
-    Laplacian is rejected because its largest H-eigenvalue is not a Perron
-    root.
+    c = d for Q, run to ``opts.tol`` or for at most ``opts.max_iter`` power
+    steps.  The radius of the whole graph is the maximum over components;
+    each component carries a positive witness vector.  The Laplacian is
+    rejected because its largest H-eigenvalue is not a Perron root.
     """
     if kind is TensorKind.LAPLACIAN:
         raise ValueError("spectral_radius supports only the adjacency and signless Laplacian tensors")
     opts = opts or PowerOptions()
-    shift = float(opts.shift) if opts.shift is not None else float(max(h.degrees) + 1)
-    if shift <= 0:
-        raise ValueError(f"shift must be positive, got {shift}")
-    start = None
-    if opts.start is not None:
-        start = as_vector(h, opts.start)
-        if np.any(start <= 0):
-            raise ValueError("start vector must be strictly positive")
-    comps = components(h)
-    masks = np.zeros((len(comps), h.n), dtype=bool)
-    for r, comp in enumerate(comps):
-        masks[r, list(comp)] = True
+    _, masks = component_masks(h, np.array([-1]))
     c = h.degree_vector if kind is TensorKind.SIGNLESS_LAPLACIAN else np.zeros(h.n)
-    rows = perron_rows(h, masks, c, shift, opts.tol, opts.max_iter, start)
+    rows = perron_rows(h, masks, c, opts.tol, opts.max_iter)
     results = [
         ComponentRadius(
-            vertices=comp,
+            vertices=tuple(np.flatnonzero(mask).tolist()),
             value=float(0.5 * (rows.lo[r] + rows.hi[r])),
             vector=rows.vectors[r],
             bracket=(float(rows.lo[r]), float(rows.hi[r])),
             iterations=int(rows.iterations[r]),
             converged=bool(rows.converged[r]),
         )
-        for r, comp in enumerate(comps)
+        for r, mask in enumerate(masks)
     ]
     best = max(results, key=lambda r: r.value)
     return SpectralRadiusResult(
@@ -299,13 +287,13 @@ def newton_polish(
     gives L.  The pivot p is the vertex of S where the start is largest:
     x_p is held at 1, the sup-norm-1 scale ``verify_eigenpair`` reads, and
     lam takes its place among the unknowns, so the Jacobian is square and,
-    at a simple eigenvalue of the principal block on S, nonsingular.  A
-    coordinate that a step takes to 0 or below is set to 0 and leaves S.
+    at a simple eigenvalue of the principal block on S, nonsingular.
     Stops after 20 steps, or once the largest equation defect is below
-    1e-14, or below 1e-10 and no smaller than at the previous step on the
-    same support, and returns that iterate.  Returns None when the start is not positive at
-    the pivot, a solve fails, or the iterate stops being finite.  The
-    caller decides whether the result improves on its input.
+    1e-14, or below 1e-10 and no smaller than at the previous step, and
+    returns that iterate.  Returns None when the start is not positive at
+    the pivot, a solve fails, or a step leaves the positive cone on S or
+    stops being finite.  The caller decides whether the result improves on
+    its input.
     """
     k = h.k
     supp = np.asarray(support, dtype=np.int64)
@@ -339,21 +327,14 @@ def newton_polish(
             return None
         x[supp[~pivot]] += delta[~pivot]
         lam += float(delta[pivot][0])
-        if not (np.all(np.isfinite(x)) and math.isfinite(lam)):
+        if not (np.all(np.isfinite(x)) and math.isfinite(lam) and np.all(x[supp] > 0.0)):
             return None
-        # a coordinate the step pushes out of the cone leaves the support
-        out = x[supp] <= 0.0
-        if out.any():
-            x[supp[out]] = 0.0
-            supp = supp[~out]
-            last = math.inf
     return lam, x
 
 
 def structural_eigenpairs(
     kind: TensorKind,
     h: Hypergraph,
-    opts: PowerOptions | None = None,
     radius: SpectralRadiusResult | None = None,
 ) -> tuple[EigenPair, ...]:
     """Eigenpairs that exist by construction for k >= 3.
@@ -365,8 +346,9 @@ def structural_eigenpairs(
     Single-vertex indicators are eigenvectors only because a support of
     size 1 cannot cover the k-1 >= 2 off-positions of any edge.
 
-    ``radius``, when given, is ``spectral_radius(kind, h, opts)`` already
-    computed by the caller; it is reused instead of being computed again.
+    The radius pairs are those of ``radius``, a ``spectral_radius(kind, h,
+    opts)`` the caller has already run with its own options; without it
+    they come from ``spectral_radius(kind, h)`` at the default options.
     """
     if h.k < 3:
         raise ValueError(f"structural eigenpairs need k >= 3, got k={h.k}")
@@ -383,7 +365,7 @@ def structural_eigenpairs(
     if kind is TensorKind.LAPLACIAN:
         pairs.append((0.0, np.ones(h.n)))
     else:
-        sr = radius if radius is not None else spectral_radius(kind, h, opts)
+        sr = radius if radius is not None else spectral_radius(kind, h)
         pairs += [(comp.value, comp.vector) for comp in sr.components]
     return tuple(verify_eigenpair(kind, h, lam, x) for lam, x in pairs)
 
@@ -394,12 +376,8 @@ def minimal_binary_eigenvectors(h: Hypergraph) -> tuple[np.ndarray, ...]:
     These are exactly the component indicators; any linear combination of
     them is again an eigenvector for 0.
     """
-    out = []
-    for comp in components(h):
-        v = np.zeros(h.n)
-        v[list(comp)] = 1.0
-        out.append(v)
-    return tuple(out)
+    _, masks = component_masks(h, np.array([-1]))
+    return tuple(masks.astype(np.float64))
 
 
 @dataclass(frozen=True)

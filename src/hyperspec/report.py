@@ -197,7 +197,7 @@ def checks_block(*reports: BoundReport) -> list[dict]:
     return rows
 
 
-def cuts_block(cuts: CutNumbers | None, n: int) -> dict:
+def cuts_block(cuts: CutNumbers | None) -> dict:
     if cuts is None:
         return {
             "computed": False,
@@ -253,7 +253,7 @@ def assemble_report(
             else {"note": "structural eigenpairs need k >= 3"}
         ),
         "alpha": alpha_block(cert, alpha_opts),
-        "cuts": cuts_block(cuts, h.n),
+        "cuts": cuts_block(cuts),
         "checks": checks_block(eigen_rep, conn_rep),
     }
     all_hold = eigen_rep.all_hold and conn_rep.all_hold

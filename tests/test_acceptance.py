@@ -319,3 +319,8 @@ def test_criterion_9_no_full_spectrum_claims():
         doc = newton_eigen_enumerate.__doc__ or ""
         if "No completeness is claimed" not in doc:
             fail.append("eigenpair enumeration does not disclaim completeness")
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in hyperspec.__all__ if not hasattr(hyperspec, name)]
+    assert missing == []

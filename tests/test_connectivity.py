@@ -17,9 +17,7 @@ from hyperspec import (
     cut_numbers,
     degree_stats,
     disjoint_union,
-    edge_connectivity_bruteforce,
     form,
-    max_cut_bruteforce,
     solve_beta,
     summation_law_check,
 )
@@ -327,19 +325,15 @@ def test_brute_force_matches_naive_reference():
         n = int(rng.integers(k + 1, 10))
         h = random_connected(rng, k, n)
         want_min, wit_min, want_max, wit_max = naive_cut_extremes(h)
-        emin = edge_connectivity_bruteforce(h)
-        emax = max_cut_bruteforce(h)
-        assert emin.value == want_min
-        assert emax.value == want_max
-        assert emin.witness == wit_min  # first witness in subset-size-then-lex order
-        assert emax.witness == wit_max
+        cn = cut_numbers(h)
+        assert cn.edge_connectivity == want_min
+        assert cn.max_cut == want_max
+        assert cn.min_witness == wit_min  # first witness in subset-size-then-lex order
+        assert cn.max_witness == wit_max
 
 
 def test_disconnected_graph_has_zero_edge_connectivity(hub_graph, two_edge_path):
     u = disjoint_union(hub_graph, two_edge_path)
-    res = edge_connectivity_bruteforce(u)
-    assert res.value == 0
-    assert not res.connected
     cn = cut_numbers(u)
     assert cn.edge_connectivity == 0
     assert not cn.connected
@@ -347,17 +341,16 @@ def test_disconnected_graph_has_zero_edge_connectivity(hub_graph, two_edge_path)
 
 def test_single_edge_cuts():
     h = single_edge(3)
-    assert edge_connectivity_bruteforce(h).value == 1
-    assert max_cut_bruteforce(h).value == 1
+    cn = cut_numbers(h)
+    assert cn.edge_connectivity == 1
+    assert cn.max_cut == 1
 
 
 def test_brute_force_caps_at_twenty_vertices():
     rng = np.random.default_rng(35)
     h = random_connected(rng, 3, 21, max_extra=0)
     with pytest.raises(ValueError):
-        edge_connectivity_bruteforce(h)
-    with pytest.raises(ValueError):
-        max_cut_bruteforce(h)
+        cut_numbers(h)
     with pytest.raises(ValueError):
         summation_law_check(h, 0.1)
 
@@ -417,7 +410,7 @@ def test_small_vertex_count_forces_edge_connectivity_to_min_degree():
             n = int(rng.integers(k + 1, 2 * k))
             h = random_connected(rng, k, n)
             _, dmin, _ = degree_stats(h)
-            assert edge_connectivity_bruteforce(h).value == dmin
+            assert cut_numbers(h).edge_connectivity == dmin
 
 
 def test_scaled_alpha_lower_bounds_edge_connectivity():
@@ -427,7 +420,7 @@ def test_scaled_alpha_lower_bounds_edge_connectivity():
         n = int(rng.integers(k + 1, 9))
         h = random_connected(rng, k, n)
         cert = analytic_connectivity(h, AlphaOptions(starts=8, seed=4))
-        e_g = edge_connectivity_bruteforce(h).value
+        e_g = cut_numbers(h).edge_connectivity
         assert (n / k) * cert.alpha <= e_g + 1e-6
 
 
@@ -438,5 +431,5 @@ def test_max_cut_degree_bound():
         n = int(rng.integers(k + 1, 10))
         h = random_connected(rng, k, n)
         dmax, dmin, davg = degree_stats(h)
-        c_g = max_cut_bruteforce(h).value
+        c_g = cut_numbers(h).max_cut
         assert c_g <= (n / k) * (2 * float(davg) - dmin) + 1e-9

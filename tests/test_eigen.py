@@ -134,23 +134,6 @@ def test_collatz_wielandt_bracket_contains_value(hub_graph):
     assert hi - lo <= 2e-10
 
 
-def test_power_iteration_start_independence(hub_graph):
-    rng = np.random.default_rng(2)
-    base = spectral_radius(TensorKind.SIGNLESS_LAPLACIAN, hub_graph)
-    for _ in range(3):
-        start = rng.uniform(0.5, 2.0, size=8)
-        res = spectral_radius(
-            TensorKind.SIGNLESS_LAPLACIAN, hub_graph, PowerOptions(start=start)
-        )
-        assert abs(res.value - base.value) <= 2e-10
-
-
-def test_explicit_shift_matches_default(hub_graph):
-    base = spectral_radius(TensorKind.ADJACENCY, hub_graph)
-    shifted = spectral_radius(TensorKind.ADJACENCY, hub_graph, PowerOptions(shift=11.0))
-    assert abs(base.value - shifted.value) <= 2e-10
-
-
 def test_radius_bounds_on_random_graphs():
     rng = np.random.default_rng(19)
     for _ in range(15):
@@ -198,6 +181,24 @@ def test_radius_pair_residuals_of_a_mid_size_k4_graph():
         pair = structural_eigenpairs(kind, h, radius=res)[-1]
         assert pair.classification is Classification.H_PLUS_PLUS
         assert pair.residual <= 1e-12
+
+
+def test_k2_radii_match_matrix_eigenvalues():
+    # at k = 2 the adjacency tensor is the adjacency matrix, so rho(A) is its
+    # largest eigenvalue and nu1 is that of D + A
+    rng = np.random.default_rng(195)
+    for n in (5, 10, 15, 20, 25, 30):
+        for _ in range(2):
+            h = random_connected(rng, 2, n, max_extra=int(rng.integers(0, 2 * n)))
+            adj = np.zeros((n, n))
+            for i, j in h.edges:
+                adj[i, j] = adj[j, i] = 1.0
+            for kind, matrix in (
+                (TensorKind.ADJACENCY, adj),
+                (TensorKind.SIGNLESS_LAPLACIAN, np.diag(h.degree_vector) + adj),
+            ):
+                value = spectral_radius(kind, h).value
+                assert value == pytest.approx(np.linalg.eigvalsh(matrix)[-1], abs=1e-12), h.edges
 
 
 def test_nonconvergence_is_reported_not_raised(hub_graph):
@@ -267,19 +268,22 @@ def test_structural_pairs_per_component(hub_graph, two_edge_path):
         assert p.residual <= 1e-12
 
 
-@pytest.mark.parametrize("opts", [PowerOptions(tol=1e-2), PowerOptions(max_iter=2)])
+@pytest.mark.parametrize(
+    "opts", [PowerOptions(tol=1e-2), PowerOptions(max_iter=2), PowerOptions(max_iter=1)]
+)
 def test_structural_radius_pairs_are_polished_when_the_iteration_stops_early(hub_graph, opts):
     # the bracket is still wider than POLISH_GAP when the iteration stops, so
     # only the finishing polish makes these pairs eigenpairs
     u = disjoint_union(hub_graph, hub_graph)
     for kind in (TensorKind.ADJACENCY, TensorKind.SIGNLESS_LAPLACIAN):
-        pairs = [p for p in structural_eigenpairs(kind, u, opts) if len(support(p.vector)) > 1]
+        radius = spectral_radius(kind, u, opts)
+        pairs = [p for p in structural_eigenpairs(kind, u, radius) if len(support(p.vector)) > 1]
         assert len(pairs) == 2
         for p in pairs:
             assert p.classification is Classification.H_PLUS_STRICT
             assert p.residual <= 1e-12
     for kind in (TensorKind.ADJACENCY, TensorKind.SIGNLESS_LAPLACIAN):
-        pair = structural_eigenpairs(kind, hub_graph, opts)[-1]
+        pair = structural_eigenpairs(kind, hub_graph, spectral_radius(kind, hub_graph, opts))[-1]
         assert pair.classification is Classification.H_PLUS_PLUS
         assert pair.residual <= 1e-12
 

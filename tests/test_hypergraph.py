@@ -18,7 +18,7 @@ from hyperspec import (
     parse_hypergraph,
 )
 
-from hyperspec.hypergraph import component_labels
+from hyperspec.hypergraph import component_labels, component_masks
 
 from conftest import random_connected, single_edge
 
@@ -28,6 +28,43 @@ def test_parse_simple_file():
     assert h.k == 3 and h.n == 4 and h.m == 2
     assert h.edges == ((0, 1, 2), (1, 2, 3))
     assert h.degrees == (1, 2, 2, 1)
+
+
+def test_parse_fuzz_gives_a_hypergraph_or_a_parse_error(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # digits, signs, comment marks, the whitespace and line breaks that
+    # str.split and str.splitlines honour, and a Unicode digit int() accepts
+    chars = st.sampled_from("0123456789-+# .x\t\n\r\x0b\x0c\x1c\x85\u2028\xa0\u0663")
+    valid = "# two edges\n3 4 2\n1 2 3\n\n2 3 4\n"
+
+    def edit(text, edits):
+        for pos, width, ch in edits:
+            pos %= len(text) + 1
+            text = text[:pos] + ch + text[pos + width :]
+        return text
+
+    # free text seldom gets past the header, so half the inputs are a valid
+    # file with a few characters replaced, inserted or deleted
+    edited = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2), chars), max_size=4)
+    texts = st.one_of(st.lists(chars, max_size=40).map("".join), edited.map(lambda e: edit(valid, e)))
+
+    @hypothesis.settings(database=None, derandomize=True, deadline=None)
+    @hypothesis.given(texts)
+    def check(text):
+        try:
+            h = parse_hypergraph(text)
+        except ParseError:
+            return
+        assert isinstance(h, Hypergraph)
+
+    # hypothesis caches what it reads from the source files under its home
+    # directory, which defaults to .hypothesis/ in the working directory
+    hypothesis.configuration.set_hypothesis_home_dir(tmp_path)
+    try:
+        check()
+    finally:
+        hypothesis.configuration.set_hypothesis_home_dir(None)
 
 
 def test_parse_ignores_blank_lines_and_comments():
@@ -138,8 +175,13 @@ def test_component_labels_match_union_find_reference():
             h = disjoint_union(h, p)
         removed = np.arange(-1, h.n)
         got = component_labels(h, removed)
+        want = []
         for r, j in enumerate(removed.tolist()):
-            assert got[r].tolist() == reference(h, j)
+            ref = reference(h, j)
+            assert got[r].tolist() == ref
+            want += [(r, [v for v in range(h.n) if ref[v] == s]) for s in sorted(set(ref) - {j})]
+        row, masks = component_masks(h, removed)
+        assert [(int(r), np.flatnonzero(mask).tolist()) for r, mask in zip(row, masks)] == want
         assert components(h) == sorted({tuple(np.flatnonzero(got[0] == v).tolist()) for v in got[0]})
 
 

@@ -15,10 +15,9 @@ from hyperspec import (
     Hypergraph,
     TensorKind,
     analytic_connectivity,
-    edge_connectivity_bruteforce,
+    cut_numbers,
     form,
     grid_extremize_form,
-    max_cut_bruteforce,
     newton_eigen_enumerate,
     solve_beta,
     spectral_radius,
@@ -175,6 +174,19 @@ def test_grid_pinned_minimum_cross_checks_alpha(two_edge_path):
     assert abs(res.value - cert.alpha) <= max(res.error_estimate, 1e-6)
 
 
+def test_alpha_per_pin_brackets_agree_with_the_grid_minimum(two_edge_path):
+    # the grid samples feasible points of the pinned slice, so its value is at
+    # least the slice minimum, which the certified bracket contains; the slack
+    # covers the grid rounding about 2e-16 below a tight lower bound
+    rng = np.random.default_rng(215)
+    for h in (two_edge_path, random_connected(rng, 3, 5), random_connected(rng, 4, 6)):
+        cert = analytic_connectivity(h)
+        for j in range(h.n):
+            grid = grid_extremize_form(TensorKind.LAPLACIAN, h, "min", pinned=j).value
+            assert cert.per_vertex_lower_bounds[j] - 1e-12 <= grid, (h.edges, j)
+            assert cert.per_vertex_values[j] <= grid + 1e-12, (h.edges, j)
+
+
 def test_project_simplex_rows_match_one_dimensional_calls():
     rng = np.random.default_rng(85)
     v = rng.normal(size=(40, 9)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1))
@@ -253,10 +265,11 @@ def test_subset_enumeration_agrees_with_bitmask_bruteforce():
         n = int(rng.integers(k + 1, 10))
         h = random_connected(rng, k, n)
         res = subset_enumerate(h)
-        assert res.min_cut == edge_connectivity_bruteforce(h).value
-        assert res.max_cut == max_cut_bruteforce(h).value
-        assert res.min_witness == edge_connectivity_bruteforce(h).witness
-        assert res.max_witness == max_cut_bruteforce(h).witness
+        cn = cut_numbers(h)
+        assert res.min_cut == cn.edge_connectivity
+        assert res.max_cut == cn.max_cut
+        assert res.min_witness == cn.min_witness
+        assert res.max_witness == cn.max_witness
         assert res.identity_failures == ()
 
 
