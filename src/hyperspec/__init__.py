@@ -46,15 +46,6 @@ from .hypergraph import (
     is_connected,
     parse_hypergraph,
 )
-from .oracle import (
-    GridExtremum,
-    OracleResult,
-    SubsetEnumeration,
-    grid_extremize_form,
-    newton_eigen_enumerate,
-    solve_beta,
-    subset_enumerate,
-)
 from .tensor_ops import (
     TensorKind,
     apply,
@@ -63,6 +54,29 @@ from .tensor_ops import (
     form,
     form_gradient,
 )
+
+# the brute-force oracles only cross-check the solvers, so no command loads
+# them; ``hyperspec.<name>`` imports ``oracle`` on first use (PEP 562)
+_ORACLE_NAMES = frozenset(
+    {
+        "GridExtremum",
+        "OracleResult",
+        "SubsetEnumeration",
+        "grid_extremize_form",
+        "newton_eigen_enumerate",
+        "solve_beta",
+        "subset_enumerate",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlphaCertificate",

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .hypergraph import Hypergraph, component_masks, degree_stats
-from .tensor_ops import TensorKind, adjacency_jacobian, apply, as_vector
+from .tensor_ops import TensorKind, _leave_one_out_products, adjacency_jacobian, apply, as_vector
 
 # entries within this of zero (after sup-norm scaling) count as zero; entries
 # below its negation count as negative
@@ -198,7 +198,7 @@ def perron_rows(
     """
     rows = masks.shape[0]
     k = h.k
-    shift = float(max(h.degrees) + 1)
+    shift = float(h.degree_vector.max() + 1.0)
     c = np.broadcast_to(np.asarray(c, dtype=np.float64), masks.shape)
     x = masks.astype(np.float64)
     lo, hi = np.zeros(rows), np.zeros(rows)
@@ -332,6 +332,58 @@ def newton_polish(
     return lam, x
 
 
+def _indicator_pairs(kind: TensorKind, h: Hypergraph, values: np.ndarray) -> list[EigenPair]:
+    """``verify_eigenpair(kind, h, values[j], e_j)`` for every vertex j, in one pass.
+
+    e_j is the indicator of vertex j.  An edge that misses j adds exact zeros
+    to T e_j^{k-1}, so pair j needs only the d(j) edges through j: the
+    incidences, grouped by vertex in one stable order, go through the
+    leave-one-out kernel of ``apply`` with the 0/1 entries of e_j on their
+    edge, and each (j, vertex) sum is formed from its own terms.  Every
+    term is 0 or 1, so every sum is exact in any order, and the floats
+    equal those of ``verify_eigenpair``.  A chunk holds whole vertices and,
+    unless one vertex alone has more, at most ROW_ENTRY_CAP // k incidences,
+    so no temporary has more than ROW_ENTRY_CAP entries.
+    """
+    n, k = h.n, h.k
+    flat = h.edge_index.ravel()
+    order = np.argsort(flat, kind="stable")
+    ends = np.cumsum(h.degree_vector).astype(np.int64)  # ends[j]: incidences of vertices 0..j
+    residual = np.empty(n)
+    lo, per_chunk = 0, max(1, ROW_ENTRY_CAP // k)
+    while lo < n:
+        first = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, first + per_chunk, side="right")))
+        inc = order[first : ends[hi - 1]]
+        j = flat[inc]
+        ones = np.arange(k)[:, None] == inc % k  # column q of e_j on the edge: 1 at j's position
+        terms = _leave_one_out_products(ones.astype(np.float64))
+        cells, where = np.unique(j[:, None] * n + h.edge_index[inc // k], return_inverse=True)
+        a = np.bincount(where.ravel(), weights=terms.ravel(), minlength=cells.size)
+        owner, i = np.divmod(cells, n)
+        e = (owner == i).astype(np.float64)  # e_j at i; e^{k-1} = e
+        if kind is TensorKind.ADJACENCY:
+            t = a
+        elif kind is TensorKind.LAPLACIAN:
+            t = h.degree_vector[i] * e - a
+        else:
+            t = h.degree_vector[i] * e + a
+        # the cells are sorted, so each pair's cells are one run; a vertex on no
+        # edge through j has an exact 0 entry, which cannot raise the maximum
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        residual[lo:hi] = np.maximum.reduceat(np.abs(t - values[owner] * e), starts)
+        lo = hi
+    pairs = []
+    for j in range(n):
+        e_j = np.zeros(n)
+        e_j[j] = 1.0
+        r = float(residual[j])
+        # e_j has n - 1 >= 1 zero entries and no negative one
+        cls = Classification.NOT_EIGENPAIR if r > VERIFY_TOL else Classification.H_PLUS_STRICT
+        pairs.append(EigenPair(value=float(values[j]), vector=e_j, residual=r, classification=cls))
+    return pairs
+
+
 def structural_eigenpairs(
     kind: TensorKind,
     h: Hypergraph,
@@ -346,28 +398,26 @@ def structural_eigenpairs(
     Single-vertex indicators are eigenvectors only because a support of
     size 1 cannot cover the k-1 >= 2 off-positions of any edge.
 
-    The radius pairs are those of ``radius``, a ``spectral_radius(kind, h,
+    Every pair is checked as ``verify_eigenpair`` checks it; the n indicator
+    pairs of L and Q are checked in one pass over the m*k incidences.  The
+    radius pairs are those of ``radius``, a ``spectral_radius(kind, h,
     opts)`` the caller has already run with its own options; without it
     they come from ``spectral_radius(kind, h)`` at the default options.
     """
     if h.k < 3:
         raise ValueError(f"structural eigenpairs need k >= 3, got k={h.k}")
-    pairs: list[tuple[float, np.ndarray]] = []
     if kind is TensorKind.ADJACENCY:
         e_0 = np.zeros(h.n)
         e_0[0] = 1.0
-        pairs.append((0.0, e_0))
+        pairs = [verify_eigenpair(kind, h, 0.0, e_0)]
     else:
-        for j in range(h.n):
-            e_j = np.zeros(h.n)
-            e_j[j] = 1.0
-            pairs.append((float(h.degrees[j]), e_j))
+        pairs = _indicator_pairs(kind, h, h.degree_vector)
     if kind is TensorKind.LAPLACIAN:
-        pairs.append((0.0, np.ones(h.n)))
+        pairs.append(verify_eigenpair(kind, h, 0.0, np.ones(h.n)))
     else:
         sr = radius if radius is not None else spectral_radius(kind, h)
-        pairs += [(comp.value, comp.vector) for comp in sr.components]
-    return tuple(verify_eigenpair(kind, h, lam, x) for lam, x in pairs)
+        pairs += [verify_eigenpair(kind, h, comp.value, comp.vector) for comp in sr.components]
+    return tuple(pairs)
 
 
 def minimal_binary_eigenvectors(h: Hypergraph) -> tuple[np.ndarray, ...]:

@@ -23,80 +23,120 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    """Immutable k-uniform hypergraph.
+class _EdgeFault(ValueError):
+    """A row of an edge list that is not a valid edge; ``row`` is its position."""
 
-    Invariants enforced by :meth:`from_edges`: every edge holds exactly
-    ``k`` distinct vertices in ``[0, n)``, edges are stored sorted and are
-    pairwise distinct, every vertex appears in at least one edge (so all
-    degrees are positive), and ``sum(degrees) == k * m``.
+    def __init__(self, row: int, message: str) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+def _edge_rows(k: int, n: int, flat: list[int], base: int) -> np.ndarray:
+    """The ids ``flat``, k per row and numbered from ``base``, as sorted int64 rows.
+
+    Raises _EdgeFault for the first row that holds an id outside [base,
+    n - 1 + base], else repeats an id, else repeats an earlier row's vertex
+    set; a row is checked in that order, and every row at once.
+    """
+    lo, hi = base, n - 1 + base
+    try:
+        idx = np.array(flat, dtype=np.int64).reshape(-1, k)
+    except OverflowError:
+        # while hi < 2**63 - 1 an id beyond int64 lies outside [lo, hi], and
+        # clipping it to just past the range keeps every verdict
+        top = min(hi + 1, np.iinfo(np.int64).max)
+        idx = np.array([min(max(v, lo - 1), top) for v in flat], dtype=np.int64).reshape(-1, k)
+    rows = np.sort(idx, axis=1)
+    outside = (idx < lo) | (idx > hi)
+    repeats = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    bad = outside.any(axis=1) | repeats
+    # lexsort is stable, so of equal rows every one but the first follows an equal row
+    order = np.lexsort(rows.T[::-1])
+    bad[order[1:][(rows[order[1:]] == rows[order[:-1]]).all(axis=1)]] = True
+    if not bad.any():
+        return rows
+    r = int(np.argmax(bad))
+    if outside[r].any():
+        message = f"vertex id {flat[r * k + int(np.argmax(outside[r]))]} outside [{lo}, {hi}]"
+    elif repeats[r]:
+        message = "edge repeats a vertex"
+    else:
+        message = f"duplicate edge {tuple(rows[r].tolist())}"
+    raise _EdgeFault(r, message)
+
+
+@dataclass(frozen=True, eq=False)
+class Hypergraph:
+    """Immutable k-uniform hypergraph that owns its arrays.
+
+    ``edge_index`` is a read-only (m, k) int64 array: row e holds the
+    vertices of edge e in increasing order, rows in input order.
+    ``degree_vector`` is the read-only float64 array of the degrees.  Both
+    are built by ``from_edges`` or ``parse_hypergraph``, which check that
+    every edge holds k distinct vertices in [0, n), that no two edges are
+    equal, and that every vertex has positive degree, so ``sum(degrees) ==
+    k * m``.  ``edges`` and ``degrees`` are tuple views of the arrays, built
+    on first read.  Equality is identity.
     """
 
     k: int
     n: int
-    edges: tuple[tuple[int, ...], ...]
-    degrees: tuple[int, ...]
+    edge_index: np.ndarray
+    degree_vector: np.ndarray
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_index)
 
     @cached_property
-    def edge_index(self) -> np.ndarray:
-        """Read-only int64 array of shape (m, k); row e holds the vertices of edge e."""
-        idx = np.array(self.edges, dtype=np.int64).reshape(self.m, self.k)
-        idx.setflags(write=False)
-        return idx
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.edge_index.tolist()))
 
     @cached_property
-    def degree_vector(self) -> np.ndarray:
-        """Read-only float64 array of the vertex degrees."""
-        d = np.array(self.degrees, dtype=np.float64)
-        d.setflags(write=False)
-        return d
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(self.degree_vector.astype(np.int64).tolist())
 
     @classmethod
     def from_edges(cls, k: int, n: int, edges: Iterable[Sequence[int]]) -> Hypergraph:
-        """Validate and build a hypergraph from an edge list.
+        """Validate and build a hypergraph from an edge list with 0-based ids.
 
-        Raises ValueError on any structural violation: bad cardinality,
-        repeated vertex inside an edge, vertex out of range, duplicate
-        edge, or an isolated vertex.  A vertex count above k*m is rejected
-        before anything of size n is allocated.
+        Rejects what ``parse_hypergraph`` rejects, in the same order and
+        with the same messages, ids counted from 0: the edges are read up to
+        the first one that does not hold k ids; of those read, the first
+        with an id outside [0, n), a repeated vertex or an earlier edge's
+        vertex set; then that short edge; then a vertex count above k*m,
+        before anything of size n is allocated, and an isolated vertex.
         """
         if k < 2:
             raise ValueError(f"edge cardinality k must be at least 2, got {k}")
         if n < k:
             raise ValueError(f"vertex count n={n} is smaller than k={k}")
-        edges = list(edges)
-        if not edges:
-            raise ValueError("hypergraph must have at least one edge")
-        if n > k * len(edges):
-            raise ValueError(
-                f"vertex count n={n} exceeds k*m={k * len(edges)}, so some vertex is isolated"
-            )
-        normalized: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        degrees = [0] * n
+        flat: list[int] = []
+        stop = None
         for e in edges:
-            vs = tuple(sorted(int(v) for v in e))
-            if len(vs) != k:
-                raise ValueError(f"edge {vs} has {len(vs)} vertices, expected {k}")
-            if len(set(vs)) != k:
-                raise ValueError(f"edge {vs} repeats a vertex")
-            if vs[0] < 0 or vs[-1] >= n:
-                raise ValueError(f"edge {vs} has a vertex outside [0, {n})")
-            if vs in seen:
-                raise ValueError(f"duplicate edge {vs}")
-            seen.add(vs)
-            normalized.append(vs)
-            for v in vs:
-                degrees[v] += 1
-        for v, d in enumerate(degrees):
-            if d == 0:
-                raise ValueError(f"vertex {v} is isolated (degree 0)")
-        return cls(k=k, n=n, edges=tuple(normalized), degrees=tuple(degrees))
+            ids = [int(v) for v in e]
+            if len(ids) != k:
+                stop = ValueError(f"edge has {len(ids)} ids, expected k={k}")
+                break
+            flat += ids
+        if not flat and stop is None:
+            raise ValueError("hypergraph must have at least one edge")
+        idx = _edge_rows(k, n, flat, base=0)
+        if stop is not None:
+            raise stop
+        return _build(k, n, idx)
+
+
+def _build(k: int, n: int, idx: np.ndarray) -> Hypergraph:
+    """The hypergraph on the checked sorted rows ``idx``, once every vertex is covered."""
+    if n > k * len(idx):
+        raise ValueError(f"vertex count n={n} exceeds k*m={k * len(idx)}, so some vertex is isolated")
+    degrees = np.bincount(idx.ravel(), minlength=n).astype(np.float64)
+    if not degrees.all():
+        raise ValueError(f"vertex {int(np.argmin(degrees))} is isolated (degree 0)")
+    idx.setflags(write=False)
+    degrees.setflags(write=False)
+    return Hypergraph(k=k, n=n, edge_index=idx, degree_vector=degrees)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -105,11 +145,20 @@ def parse_hypergraph(text: str) -> Hypergraph:
     Line 1 is a header ``k n m``; the next ``m`` significant lines carry
     ``k`` distinct 1-based vertex ids each.  Blank lines and lines starting
     with ``#`` are ignored.  Errors name the offending (physical) line.
+
+    The line loop only reads: the header, then each edge line's integers,
+    its count of ids and the running edge count, up to the first line that
+    fails one of these.  The rows read before it are then checked at once
+    by the checks ``Hypergraph.from_edges`` runs (id range, repeated vertex,
+    duplicate edge), and the first bad row is reported at its own line, so
+    the error is the one a line-by-line reader meets first.  The declared m,
+    n > k*m and isolated vertices follow, reported at the header line.
     """
     header: tuple[int, int, int] | None = None
     header_line = 0
-    raw_edges: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    flat: list[int] = []
+    lines: list[int] = []
+    stop = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -127,40 +176,41 @@ def parse_hypergraph(text: str) -> Hypergraph:
             header = (k, n, m)
             header_line = line_no
             continue
-        k, n, m = header
-        if len(raw_edges) == m:
-            raise ParseError(line_no, f"more than the declared m={m} edge lines")
+        if len(lines) == m:
+            stop = ParseError(line_no, f"more than the declared m={m} edge lines")
+            break
         try:
-            ids = tuple(int(f) for f in fields)
+            ids = list(map(int, fields))
         except ValueError:
-            raise ParseError(line_no, f"edge line must hold integers, got {stripped!r}") from None
+            stop = ParseError(line_no, f"edge line must hold integers, got {stripped!r}")
+            break
         if len(ids) != k:
-            raise ParseError(line_no, f"edge has {len(ids)} ids, expected k={k}")
-        for v in ids:
-            if v < 1 or v > n:
-                raise ParseError(line_no, f"vertex id {v} outside [1, {n}]")
-        if len(set(ids)) != k:
-            raise ParseError(line_no, "edge repeats a vertex")
-        edge = tuple(sorted(v - 1 for v in ids))
-        if edge in seen:
-            raise ParseError(line_no, f"duplicate edge {tuple(v + 1 for v in edge)}")
-        seen.add(edge)
-        raw_edges.append(edge)
+            stop = ParseError(line_no, f"edge has {len(ids)} ids, expected k={k}")
+            break
+        flat += ids
+        lines.append(line_no)
     if header is None:
         raise ParseError(1, "empty input, expected 'k n m' header")
     k, n, m = header
-    if len(raw_edges) != m:
-        raise ParseError(header_line, f"declared m={m} edges but found {len(raw_edges)}")
     try:
-        return Hypergraph.from_edges(k, n, raw_edges)
+        idx = _edge_rows(k, n, flat, base=1)
+    except _EdgeFault as fault:
+        raise ParseError(lines[fault.row], str(fault)) from None
+    if stop is not None:
+        raise stop
+    if len(lines) != m:
+        raise ParseError(header_line, f"declared m={m} edges but found {len(lines)}")
+    try:
+        return _build(k, n, idx - 1)
     except ValueError as exc:
-        # only coverage violations can survive the per-line checks above
+        # only coverage violations are left after the row checks
         raise ParseError(header_line, str(exc)) from None
 
 
 def degree_stats(h: Hypergraph) -> tuple[int, int, Fraction]:
     """Return (max degree, min degree, average degree k*m/n as an exact rational)."""
-    return max(h.degrees), min(h.degrees), Fraction(h.k * h.m, h.n)
+    d = h.degree_vector
+    return int(d.max()), int(d.min()), Fraction(h.k * h.m, h.n)
 
 
 def component_labels(h: Hypergraph, removed: np.ndarray) -> np.ndarray:

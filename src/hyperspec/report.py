@@ -43,7 +43,7 @@ def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
     s = "%.17g" % x
-    if not any(c in s for c in ".eE"):
+    if "." not in s and "e" not in s:
         s += ".0"
     return s
 
@@ -90,6 +90,8 @@ def emit_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == {float}:
+            return "[" + ", ".join(map(format_float, obj)) + "]"
         items = [emit_json(v, indent + 1) for v in obj]
         if not items:
             return "[]"
@@ -108,7 +110,7 @@ def emit_json(obj: Any, indent: int = 0) -> str:
 
 
 def _vec(x: np.ndarray) -> list[float]:
-    return [float(v) for v in x]
+    return np.asarray(x, dtype=np.float64).tolist()
 
 
 def _ids_1based(vs) -> list[int]:

@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyperspec.cli as cli
 from hyperspec import Hypergraph, solve_beta
 from hyperspec.cli import main
 from hyperspec.report import SCHEMA, emit_json
+
+DATA = Path(__file__).parent / "data"
 
 from conftest import single_edge, write_khg
 
@@ -302,9 +310,50 @@ def test_report_is_deterministic_and_round_trips(capsys, path_file):
     assert emit_json(payload) + "\n" == out1
 
 
+def test_flat_float_lists_format_like_their_elements():
+    values = [-0.0, 5e-324, 0.1, 2.0, 1e16, 1e22]
+    want = "[-0.0, 4.9406564584124654e-324, 0.10000000000000001, 2.0, 10000000000000000.0, 1e+22]"
+    assert emit_json(values) == want
+    assert "[" + ", ".join(emit_json(v) for v in values) + "]" == want
+    # numpy scalars and mixed lists take the element-wise path and print the same
+    assert emit_json([np.float64(v) for v in values]) == want
+    assert emit_json([*values, 3]) == want[:-1] + ", 3]"
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            emit_json([1.0, bad])
+
+
 def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path, hub_file):
     dest = tmp_path / "info.json"
     code, out, err = run(capsys, ["info", "--json", "--out", str(dest), hub_file])
     assert code == 0
     assert out == "" and err == ""
     assert json.loads(dest.read_text())["graph"]["n"] == 8
+
+
+# ---------------------------------------------------------------- recorded output
+
+
+@pytest.mark.parametrize("graph", ["hub", "k4_shuffled"])
+@pytest.mark.parametrize(
+    "argv", [["spectral", "--kind", "all", "--json"], ["report"]], ids=["spectral", "report"]
+)
+def test_output_is_byte_identical_to_the_recording(capsys, graph, argv):
+    # k4_shuffled has comment and blank lines and edges with shuffled ids
+    code, out, _ = run(capsys, [*argv, str(DATA / f"{graph}.khg")])
+    assert code == 0
+    assert out == (DATA / f"{graph}.{argv[0]}.json").read_text()
+
+
+def test_spectral_command_does_not_import_the_oracle():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["spectral", "--kind", "all", "--json", str(DATA / "hub.khg")]
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hyperspec.cli", *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    assert {"hyperspec.eigen", "hyperspec.report"} <= imported
+    assert "hyperspec.oracle" not in imported
+    assert done.stdout == (DATA / "hub.spectral.json").read_text()

@@ -21,6 +21,7 @@ from hyperspec import (
     verify_eigenpair,
 )
 
+import hyperspec.eigen as eigen
 from hyperspec.eigen import newton_polish
 
 from conftest import random_connected, single_edge
@@ -266,6 +267,48 @@ def test_structural_pairs_per_component(hub_graph, two_edge_path):
     assert tuple(range(8, 12)) in full_supports
     for p in pairs:
         assert p.residual <= 1e-12
+
+
+def indicator(n: int, j: int) -> np.ndarray:
+    e = np.zeros(n)
+    e[j] = 1.0
+    return e
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_indicator_pass_equals_verify_eigenpair(k):
+    rng = np.random.default_rng(k)
+    for trial in range(8):
+        h = random_connected(rng, k, int(rng.integers(k + 1, 12)))
+        if trial % 2:
+            h = disjoint_union(h, random_connected(rng, k, int(rng.integers(k, 9))))
+        d = h.degree_vector
+        # the true values, and values that make no eigenpair
+        for values in (d, np.zeros(h.n), d + 0.5, -d):
+            for kind in TensorKind:
+                got = eigen._indicator_pairs(kind, h, values)
+                assert len(got) == h.n
+                for j, p in enumerate(got):
+                    want = verify_eigenpair(kind, h, values[j], indicator(h.n, j))
+                    assert (p.value, p.residual, p.classification) == (
+                        want.value,
+                        want.residual,
+                        want.classification,
+                    )
+                    assert np.array_equal(p.vector, want.vector)
+
+
+def test_indicator_pass_does_not_depend_on_its_chunks(monkeypatch, hub_graph):
+    u = disjoint_union(hub_graph, disjoint_union(single_edge(3), hub_graph))
+    values = u.degree_vector + np.arange(u.n) % 3
+    whole = eigen._indicator_pairs(TensorKind.LAPLACIAN, u, values)
+    # 3 // k = 1 incidence per chunk: a chunk is one vertex, above the cap when d(j) > 1
+    for cap in (3, 12, 40):
+        monkeypatch.setattr(eigen, "ROW_ENTRY_CAP", cap)
+        chunked = eigen._indicator_pairs(TensorKind.LAPLACIAN, u, values)
+        assert [(p.value, p.residual, p.classification) for p in chunked] == [
+            (p.value, p.residual, p.classification) for p in whole
+        ]
 
 
 @pytest.mark.parametrize(

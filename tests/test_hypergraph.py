@@ -67,6 +67,93 @@ def test_parse_fuzz_gives_a_hypergraph_or_a_parse_error(tmp_path):
         hypothesis.configuration.set_hypothesis_home_dir(None)
 
 
+def line_by_line_parse(text: str):
+    """A reader that checks each line as it meets it: the reference for ``parse_hypergraph``.
+
+    Returns (k, n, edges, degrees), or raises ParseError.
+    """
+    header = None
+    edges, seen = [], set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = stripped.split()
+        if header is None:
+            if len(fields) != 3:
+                raise ParseError(line_no, f"header must be 'k n m', got {stripped!r}")
+            try:
+                k, n, m = (int(f) for f in fields)
+            except ValueError:
+                raise ParseError(line_no, f"header must hold three integers, got {stripped!r}") from None
+            if k < 2 or n < k or m < 1:
+                raise ParseError(line_no, f"header values out of range: k={k} n={n} m={m}")
+            header, header_line = (k, n, m), line_no
+            continue
+        if len(edges) == m:
+            raise ParseError(line_no, f"more than the declared m={m} edge lines")
+        try:
+            ids = [int(f) for f in fields]
+        except ValueError:
+            raise ParseError(line_no, f"edge line must hold integers, got {stripped!r}") from None
+        if len(ids) != k:
+            raise ParseError(line_no, f"edge has {len(ids)} ids, expected k={k}")
+        for v in ids:
+            if v < 1 or v > n:
+                raise ParseError(line_no, f"vertex id {v} outside [1, {n}]")
+        if len(set(ids)) != k:
+            raise ParseError(line_no, "edge repeats a vertex")
+        edge = tuple(sorted(ids))
+        if edge in seen:
+            raise ParseError(line_no, f"duplicate edge {edge}")
+        seen.add(edge)
+        edges.append(tuple(v - 1 for v in edge))
+    if header is None:
+        raise ParseError(1, "empty input, expected 'k n m' header")
+    if len(edges) != m:
+        raise ParseError(header_line, f"declared m={m} edges but found {len(edges)}")
+    if n > k * m:
+        raise ParseError(header_line, f"vertex count n={n} exceeds k*m={k * m}, so some vertex is isolated")
+    degrees = [sum(v in e for e in edges) for v in range(n)]
+    if 0 in degrees:
+        raise ParseError(header_line, f"vertex {degrees.index(0)} is isolated (degree 0)")
+    return k, n, tuple(edges), tuple(degrees)
+
+
+def test_parse_agrees_with_a_line_by_line_reader():
+    rng = np.random.default_rng(5)
+    valid = [
+        "# two edges\n3 4 2\n1 2 3\n\n2 3 4\n",
+        "3 5 3\n1 2 3\n2 3 4\n3 4 5\n",
+        "4 6 3\n1 2 3 4\n3 4 5 6\n1 2 5 6\n",
+        "2 3 3\n1 2\n2 3\n1 3\n",
+        "3 6 4\n# c\n6 5 4\n1 2 3\n3 4 1\n2 5 6\n",
+    ]
+    # single characters, and whole lines that are bad edges in several ways at once
+    pieces = list("0123456789-+# .x\t\n") + [
+        f"\n{line}\n" for line in ("1 2 3", "3 2 1", "1 1 2", "9 9 9", "0 1 2", "1 2 99999999999999999999")
+    ]
+    outcomes = set()
+    for _ in range(3000):
+        text = valid[rng.integers(len(valid))]
+        for _ in range(rng.integers(1, 5)):
+            pos, width = int(rng.integers(len(text) + 1)), int(rng.integers(3))
+            text = text[:pos] + pieces[rng.integers(len(pieces))] + text[pos + width :]
+        try:
+            want = line_by_line_parse(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_hypergraph(text)
+            assert (got.value.line_no, str(got.value)) == (exc.line_no, str(exc)), text
+            outcomes.add(str(exc).split()[2])  # the message's first word
+            continue
+        h = parse_hypergraph(text)
+        assert (h.k, h.n, h.edges, h.degrees) == want, text
+        outcomes.add("ok")
+    # every kind of verdict came up
+    assert {"ok", "vertex", "edge", "duplicate", "more", "declared", "header"} <= outcomes
+
+
 def test_parse_ignores_blank_lines_and_comments():
     text = "# a comment\n3 4 2\n\n1 2 3\n  # another\n2 3 4\n\n"
     assert parse_hypergraph(text).edges == ((0, 1, 2), (1, 2, 3))
@@ -118,6 +205,34 @@ def test_from_edges_sorts_and_validates():
         Hypergraph.from_edges(3, 3, [(0, 1, 3)])
     with pytest.raises(ValueError, match=r"exceeds k\*m"):
         Hypergraph.from_edges(3, 10**9, [(0, 1, 2)])  # rejected before any O(n) allocation
+
+
+@pytest.mark.parametrize(
+    "k, n, edges, message, row",
+    [
+        # message(b) numbers the ids from b: 0 for from_edges, 1 in the file
+        (3, 4, [(0, 1, 2), (1, 2, 4)], lambda b: f"vertex id {4 + b} outside [{b}, {3 + b}]", 1),
+        (3, 4, [(0, 1, 2), (3, 9, -1)], lambda b: f"vertex id {9 + b} outside [{b}, {3 + b}]", 1),
+        (3, 4, [(0, 1, 1), (1, 2, 9)], lambda b: "edge repeats a vertex", 0),
+        (3, 4, [(0, 1, 2), (2, 3, 1), (3, 2, 1)], lambda b: f"duplicate edge ({1 + b}, {2 + b}, {3 + b})", 2),
+        (3, 4, [(0, 1, 2), (0, 1, 1), (1, 0, 2)], lambda b: "edge repeats a vertex", 1),
+        (3, 4, [(0, 1, 2), (1, 2), (0, 1, 2)], lambda b: "edge has 2 ids, expected k=3", 1),
+        (3, 4, [(0, 1, 2), (1, 2), (0, 1, 4)], lambda b: "edge has 2 ids, expected k=3", 1),
+        (3, 4, [(0, 1, 2), (0, 1, 2), (1, 2)], lambda b: f"duplicate edge ({b}, {1 + b}, {2 + b})", 1),
+        (3, 10**9, [(0, 1, 2)], lambda b: "vertex count n=1000000000 exceeds k*m=3, so some vertex is isolated", None),
+        (3, 5, [(0, 1, 2), (1, 2, 3)], lambda b: "vertex 4 is isolated (degree 0)", None),
+        (4, 4, [(0, 1, 2, 2**64)], lambda b: f"vertex id {2**64 + b} outside [{b}, {3 + b}]", 0),
+    ],
+)
+def test_from_edges_and_parse_reject_alike(k, n, edges, message, row):
+    with pytest.raises(ValueError) as exc:
+        Hypergraph.from_edges(k, n, edges)
+    assert str(exc.value) == message(0)
+    lines = [f"{k} {n} {len(edges)}"] + [" ".join(str(v + 1) for v in e) for e in edges]
+    with pytest.raises(ParseError) as exc:
+        parse_hypergraph("\n".join(lines))
+    # an edge's fault names its line, a graph-wide fault the header's
+    assert str(exc.value) == f"line {1 if row is None else row + 2}: {message(1)}"
 
 
 def test_degree_stats_on_hub_graph(hub_graph):
