@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .connectivity import AlphaOptions, analytic_connectivity
-from .eigen import Classification, PowerOptions, bound_report, spectral_radius
-from .hypergraph import Hypergraph, degree_stats, is_connected, parse_hypergraph
+from .eigen import Classification, PowerOptions, bound_report, spectral_radius, verify_eigenpair
+from .hypergraph import Hypergraph, components, degree_stats, is_connected, parse_hypergraph
 from .report import (
     alpha_block,
     assemble_report,
@@ -59,10 +59,9 @@ def cmd_info(args: argparse.Namespace) -> int:
         _emit({"schema": SCHEMA, "graph": graph_summary(h)}, args.out)
         return EXIT_OK
     dmax, dmin, davg = degree_stats(h)
-    comps = graph_summary(h)["components"]
     print(
         f"k={h.k} n={h.n} m={h.m} Δ={dmax} δ={dmin} "
-        f"d̄={davg} components={len(comps)}"
+        f"d̄={davg} components={len(components(h))}"
     )
     return EXIT_OK
 
@@ -151,8 +150,6 @@ def _classification_text(c: Classification, residual: float) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .eigen import verify_eigenpair
-
     h = _load(args.file)
     kind = _KIND_LETTERS[args.kind]
     try:

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .hypergraph import Hypergraph, component_masks, degree_stats
-from .tensor_ops import TensorKind, _leave_one_out_products, adjacency_jacobian, apply, as_vector
+from .tensor_ops import TensorKind, adjacency_jacobian, apply, as_vector
 
 # entries within this of zero (after sup-norm scaling) count as zero; entries
 # below its negation count as negative
@@ -39,6 +39,10 @@ BOUND_SLACK = 1e-9
 # the Perron kernel's working set holds at most this many rows * m * k edge
 # entries, which bounds every (rows, m, k) array of one power step
 ROW_ENTRY_CAP = 2**15
+
+# the zero-eigenvalue sign search of ``q_definiteness_probe`` is exhaustive
+# up to this many vertices
+MAX_DEFINITENESS_N = 24
 
 # a Perron row is Newton-polished once its bracket is this narrow, and again
 # each time the bracket has narrowed by this factor since the last try
@@ -332,58 +336,6 @@ def newton_polish(
     return lam, x
 
 
-def _indicator_pairs(kind: TensorKind, h: Hypergraph, values: np.ndarray) -> list[EigenPair]:
-    """``verify_eigenpair(kind, h, values[j], e_j)`` for every vertex j, in one pass.
-
-    e_j is the indicator of vertex j.  An edge that misses j adds exact zeros
-    to T e_j^{k-1}, so pair j needs only the d(j) edges through j: the
-    incidences, grouped by vertex in one stable order, go through the
-    leave-one-out kernel of ``apply`` with the 0/1 entries of e_j on their
-    edge, and each (j, vertex) sum is formed from its own terms.  Every
-    term is 0 or 1, so every sum is exact in any order, and the floats
-    equal those of ``verify_eigenpair``.  A chunk holds whole vertices and,
-    unless one vertex alone has more, at most ROW_ENTRY_CAP // k incidences,
-    so no temporary has more than ROW_ENTRY_CAP entries.
-    """
-    n, k = h.n, h.k
-    flat = h.edge_index.ravel()
-    order = np.argsort(flat, kind="stable")
-    ends = np.cumsum(h.degree_vector).astype(np.int64)  # ends[j]: incidences of vertices 0..j
-    residual = np.empty(n)
-    lo, per_chunk = 0, max(1, ROW_ENTRY_CAP // k)
-    while lo < n:
-        first = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, first + per_chunk, side="right")))
-        inc = order[first : ends[hi - 1]]
-        j = flat[inc]
-        ones = np.arange(k)[:, None] == inc % k  # column q of e_j on the edge: 1 at j's position
-        terms = _leave_one_out_products(ones.astype(np.float64))
-        cells, where = np.unique(j[:, None] * n + h.edge_index[inc // k], return_inverse=True)
-        a = np.bincount(where.ravel(), weights=terms.ravel(), minlength=cells.size)
-        owner, i = np.divmod(cells, n)
-        e = (owner == i).astype(np.float64)  # e_j at i; e^{k-1} = e
-        if kind is TensorKind.ADJACENCY:
-            t = a
-        elif kind is TensorKind.LAPLACIAN:
-            t = h.degree_vector[i] * e - a
-        else:
-            t = h.degree_vector[i] * e + a
-        # the cells are sorted, so each pair's cells are one run; a vertex on no
-        # edge through j has an exact 0 entry, which cannot raise the maximum
-        starts = np.flatnonzero(np.diff(owner, prepend=-1))
-        residual[lo:hi] = np.maximum.reduceat(np.abs(t - values[owner] * e), starts)
-        lo = hi
-    pairs = []
-    for j in range(n):
-        e_j = np.zeros(n)
-        e_j[j] = 1.0
-        r = float(residual[j])
-        # e_j has n - 1 >= 1 zero entries and no negative one
-        cls = Classification.NOT_EIGENPAIR if r > VERIFY_TOL else Classification.H_PLUS_STRICT
-        pairs.append(EigenPair(value=float(values[j]), vector=e_j, residual=r, classification=cls))
-    return pairs
-
-
 def structural_eigenpairs(
     kind: TensorKind,
     h: Hypergraph,
@@ -395,25 +347,34 @@ def structural_eigenpairs(
     Signless Laplacian: (d(j), indicator of j) for every vertex plus each
     component's spectral radius with its positive witness.  Adjacency:
     (0, indicator of vertex 0) plus each component's spectral radius.
-    Single-vertex indicators are eigenvectors only because a support of
-    size 1 cannot cover the k-1 >= 2 off-positions of any edge.
 
-    Every pair is checked as ``verify_eigenpair`` checks it; the n indicator
-    pairs of L and Q are checked in one pass over the m*k incidences.  The
-    radius pairs are those of ``radius``, a ``spectral_radius(kind, h,
-    opts)`` the caller has already run with its own options; without it
-    they come from ``spectral_radius(kind, h)`` at the default options.
+    The indicator pairs and the all-ones pair are built, not checked: at
+    e_j every leave-one-out product spans k-1 >= 2 slots of its edge, so
+    one of them holds a vertex other than j, where e_j is 0.  Every
+    product is therefore an exact 0, A e_j^{k-1} = 0 and L e_j^{k-1} =
+    Q e_j^{k-1} = d(j) e_j.  At all-ones every product is 1, so A 1^{k-1}
+    = d is an exact integer sum and L 1^{k-1} = 0.  Each residual is
+    therefore exactly 0.0, the value ``verify_eigenpair`` computes.  Only
+    the radius pairs go through ``verify_eigenpair``.  They are those of
+    ``radius``, a ``spectral_radius(kind, h, opts)`` the caller has already
+    run with its own options; without it they come from
+    ``spectral_radius(kind, h)`` at the default options.
     """
     if h.k < 3:
         raise ValueError(f"structural eigenpairs need k >= 3, got k={h.k}")
+    strict = Classification.H_PLUS_STRICT  # an indicator has n - 1 >= 2 zero entries
     if kind is TensorKind.ADJACENCY:
         e_0 = np.zeros(h.n)
         e_0[0] = 1.0
-        pairs = [verify_eigenpair(kind, h, 0.0, e_0)]
+        pairs = [EigenPair(value=0.0, vector=e_0, residual=0.0, classification=strict)]
     else:
-        pairs = _indicator_pairs(kind, h, h.degree_vector)
+        pairs = [
+            EigenPair(value=float(d), vector=e_j, residual=0.0, classification=strict)
+            for d, e_j in zip(h.degree_vector, np.eye(h.n))
+        ]
     if kind is TensorKind.LAPLACIAN:
-        pairs.append(verify_eigenpair(kind, h, 0.0, np.ones(h.n)))
+        plus = Classification.H_PLUS_PLUS
+        pairs.append(EigenPair(value=0.0, vector=np.ones(h.n), residual=0.0, classification=plus))
     else:
         sr = radius if radius is not None else spectral_radius(kind, h)
         pairs += [verify_eigenpair(kind, h, comp.value, comp.vector) for comp in sr.components]
@@ -499,7 +460,7 @@ class DefinitenessResult:
     witness: np.ndarray | None  # a +-1 vector with Q x^{k-1} = 0 when found
 
 
-def q_definiteness_probe(h: Hypergraph, max_exhaustive_n: int = 24) -> DefinitenessResult:
+def q_definiteness_probe(h: Hypergraph) -> DefinitenessResult:
     """Decide whether the signless Laplacian (even k) has a zero H-eigenvalue.
 
     For even k the form is a sum of d(i) x_i^k plus k times the edge
@@ -507,14 +468,14 @@ def q_definiteness_probe(h: Hypergraph, max_exhaustive_n: int = 24) -> Definiten
     edge to cancel its degree term exactly.  That happens iff k = 4j + 2 and
     some +-1 assignment makes every edge carry exactly k/2 entries of each
     sign; for k divisible by 4 no assignment works, so Q is positive
-    definite.  The sign search is exhaustive up to ``max_exhaustive_n``
+    definite.  The sign search is exhaustive up to MAX_DEFINITENESS_N
     vertices (the global flip symmetry pins vertex 0 to +1).
     """
     if h.k % 2 != 0:
         raise ValueError(f"definiteness probe needs even k, got k={h.k}")
     if h.k % 4 == 0:
         return DefinitenessResult(Definiteness.POSITIVE_DEFINITE, None)
-    if h.n > max_exhaustive_n:
+    if h.n > MAX_DEFINITENESS_N:
         return DefinitenessResult(Definiteness.INCONCLUSIVE, None)
     half = h.k // 2
     edges_of: list[list[int]] = [[] for _ in range(h.n)]

@@ -124,16 +124,17 @@ class Hypergraph:
         idx = _edge_rows(k, n, flat, base=0)
         if stop is not None:
             raise stop
-        return _build(k, n, idx)
+        return _build(k, n, idx, base=0)
 
 
-def _build(k: int, n: int, idx: np.ndarray) -> Hypergraph:
-    """The hypergraph on the checked sorted rows ``idx``, once every vertex is covered."""
+def _build(k: int, n: int, idx: np.ndarray, base: int) -> Hypergraph:
+    """The hypergraph on the checked sorted 0-based rows ``idx``, once every vertex
+    is covered; an isolated vertex is named by its id counted from ``base``."""
     if n > k * len(idx):
         raise ValueError(f"vertex count n={n} exceeds k*m={k * len(idx)}, so some vertex is isolated")
     degrees = np.bincount(idx.ravel(), minlength=n).astype(np.float64)
     if not degrees.all():
-        raise ValueError(f"vertex {int(np.argmin(degrees))} is isolated (degree 0)")
+        raise ValueError(f"vertex {int(np.argmin(degrees)) + base} is isolated (degree 0)")
     idx.setflags(write=False)
     degrees.setflags(write=False)
     return Hypergraph(k=k, n=n, edge_index=idx, degree_vector=degrees)
@@ -201,7 +202,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     if len(lines) != m:
         raise ParseError(header_line, f"declared m={m} edges but found {len(lines)}")
     try:
-        return _build(k, n, idx - 1)
+        return _build(k, n, idx - 1, base=1)
     except ValueError as exc:
         # only coverage violations are left after the row checks
         raise ParseError(header_line, str(exc)) from None

@@ -9,6 +9,7 @@ byte-identical output.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from typing import Any
@@ -33,7 +34,7 @@ from .eigen import (
     spectral_radius,
     structural_eigenpairs,
 )
-from .hypergraph import Hypergraph, components, degree_stats, is_connected
+from .hypergraph import Hypergraph, components, degree_stats
 from .tensor_ops import TensorKind
 
 SCHEMA = "hyperspec/1"
@@ -58,22 +59,7 @@ def emit_json(obj: Any, indent: int = 0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ch == "\n":
-                out.append("\\n")
-            elif ch == "\t":
-                out.append("\\t")
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -119,6 +105,7 @@ def _ids_1based(vs) -> list[int]:
 
 def graph_summary(h: Hypergraph) -> dict:
     dmax, dmin, davg = degree_stats(h)
+    comps = components(h)
     return {
         "k": h.k,
         "n": h.n,
@@ -128,8 +115,8 @@ def graph_summary(h: Hypergraph) -> dict:
         "max_degree": dmax,
         "min_degree": dmin,
         "average_degree": davg,
-        "components": [_ids_1based(c) for c in components(h)],
-        "connected": is_connected(h),
+        "components": [_ids_1based(c) for c in comps],
+        "connected": len(comps) == 1,
         "edges": [_ids_1based(e) for e in h.edges],
     }
 

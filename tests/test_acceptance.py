@@ -8,9 +8,11 @@ graph, so a red run names every violation it found.
 
 from __future__ import annotations
 
+import ast
 import time
 from contextlib import contextmanager
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 
@@ -324,3 +326,19 @@ def test_criterion_9_no_full_spectrum_claims():
 def test_every_exported_name_resolves():
     missing = [name for name in hyperspec.__all__ if not hasattr(hyperspec, name)]
     assert missing == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a leading underscore marks a module's own helper; the package's layers
+    # share only public names (dunders such as __version__ are public)
+    crossings = []
+    for path in sorted(Path(hyperspec.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            internal = isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("hyperspec"))
+            if internal:
+                crossings += [
+                    f"{path.name}: {a.name} from {node.module}"
+                    for a in node.names
+                    if a.name.startswith("_") and not a.name.endswith("__")
+                ]
+    assert crossings == []

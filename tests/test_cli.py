@@ -323,6 +323,13 @@ def test_flat_float_lists_format_like_their_elements():
             emit_json([1.0, bad])
 
 
+def test_strings_round_trip_through_the_emitter():
+    controls = "".join(map(chr, range(0x20))) + "\x7f"
+    for s in ['say "hi"', "back\\slash \\\"", controls, "Δ δ d̄ ν₁ 𝟙 – ü", ""]:
+        assert json.loads(emit_json(s)) == s
+        assert json.loads(emit_json({s: [s]})) == {s: [s]}
+
+
 def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path, hub_file):
     dest = tmp_path / "info.json"
     code, out, err = run(capsys, ["info", "--json", "--out", str(dest), hub_file])

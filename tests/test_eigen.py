@@ -21,7 +21,6 @@ from hyperspec import (
     verify_eigenpair,
 )
 
-import hyperspec.eigen as eigen
 from hyperspec.eigen import newton_polish
 
 from conftest import random_connected, single_edge
@@ -269,46 +268,24 @@ def test_structural_pairs_per_component(hub_graph, two_edge_path):
         assert p.residual <= 1e-12
 
 
-def indicator(n: int, j: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[j] = 1.0
-    return e
-
-
-@pytest.mark.parametrize("k", [3, 4, 5, 6])
-def test_indicator_pass_equals_verify_eigenpair(k):
+@pytest.mark.parametrize("k", range(3, 9))
+def test_structural_pairs_equal_verify_eigenpair(k):
+    # the indicator and all-ones pairs are built with residual 0.0; the
+    # production apply, through verify_eigenpair, must give the same floats
     rng = np.random.default_rng(k)
-    for trial in range(8):
+    for trial in range(6):
         h = random_connected(rng, k, int(rng.integers(k + 1, 12)))
         if trial % 2:
             h = disjoint_union(h, random_connected(rng, k, int(rng.integers(k, 9))))
-        d = h.degree_vector
-        # the true values, and values that make no eigenpair
-        for values in (d, np.zeros(h.n), d + 0.5, -d):
-            for kind in TensorKind:
-                got = eigen._indicator_pairs(kind, h, values)
-                assert len(got) == h.n
-                for j, p in enumerate(got):
-                    want = verify_eigenpair(kind, h, values[j], indicator(h.n, j))
-                    assert (p.value, p.residual, p.classification) == (
-                        want.value,
-                        want.residual,
-                        want.classification,
-                    )
-                    assert np.array_equal(p.vector, want.vector)
-
-
-def test_indicator_pass_does_not_depend_on_its_chunks(monkeypatch, hub_graph):
-    u = disjoint_union(hub_graph, disjoint_union(single_edge(3), hub_graph))
-    values = u.degree_vector + np.arange(u.n) % 3
-    whole = eigen._indicator_pairs(TensorKind.LAPLACIAN, u, values)
-    # 3 // k = 1 incidence per chunk: a chunk is one vertex, above the cap when d(j) > 1
-    for cap in (3, 12, 40):
-        monkeypatch.setattr(eigen, "ROW_ENTRY_CAP", cap)
-        chunked = eigen._indicator_pairs(TensorKind.LAPLACIAN, u, values)
-        assert [(p.value, p.residual, p.classification) for p in chunked] == [
-            (p.value, p.residual, p.classification) for p in whole
-        ]
+        for kind in TensorKind:
+            for p in structural_eigenpairs(kind, h):
+                want = verify_eigenpair(kind, h, p.value, p.vector)
+                assert (p.value, p.residual, p.classification) == (
+                    want.value,
+                    want.residual,
+                    want.classification,
+                )
+                assert np.array_equal(p.vector, want.vector)
 
 
 @pytest.mark.parametrize(

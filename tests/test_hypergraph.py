@@ -116,7 +116,7 @@ def line_by_line_parse(text: str):
         raise ParseError(header_line, f"vertex count n={n} exceeds k*m={k * m}, so some vertex is isolated")
     degrees = [sum(v in e for e in edges) for v in range(n)]
     if 0 in degrees:
-        raise ParseError(header_line, f"vertex {degrees.index(0)} is isolated (degree 0)")
+        raise ParseError(header_line, f"vertex {degrees.index(0) + 1} is isolated (degree 0)")
     return k, n, tuple(edges), tuple(degrees)
 
 
@@ -220,7 +220,7 @@ def test_from_edges_sorts_and_validates():
         (3, 4, [(0, 1, 2), (1, 2), (0, 1, 4)], lambda b: "edge has 2 ids, expected k=3", 1),
         (3, 4, [(0, 1, 2), (0, 1, 2), (1, 2)], lambda b: f"duplicate edge ({b}, {1 + b}, {2 + b})", 1),
         (3, 10**9, [(0, 1, 2)], lambda b: "vertex count n=1000000000 exceeds k*m=3, so some vertex is isolated", None),
-        (3, 5, [(0, 1, 2), (1, 2, 3)], lambda b: "vertex 4 is isolated (degree 0)", None),
+        (3, 5, [(0, 1, 2), (1, 2, 3)], lambda b: f"vertex {4 + b} is isolated (degree 0)", None),
         (4, 4, [(0, 1, 2, 2**64)], lambda b: f"vertex id {2**64 + b} outside [{b}, {3 + b}]", 0),
     ],
 )
