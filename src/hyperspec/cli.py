@@ -24,7 +24,7 @@ from .report import (
     emit_json,
     graph_summary,
     radius_block,
-    structural_block,
+    structural_blocks,
     SCHEMA,
 )
 from .tensor_ops import TensorKind
@@ -76,26 +76,14 @@ def cmd_spectral(args: argparse.Namespace) -> int:
         results["signless_radius"] = spectral_radius(TensorKind.SIGNLESS_LAPLACIAN, h, opts)
     adj = results.get("adjacency_radius")
     sig = results.get("signless_radius")
-    rep = bound_report(
-        h,
-        lambda1=adj.value if adj else None,
-        nu1=sig.value if sig else None,
-    )
+    rep = bound_report(h, lambda1=adj.value if adj else None, nu1=sig.value if sig else None)
     converged = all(r.converged for r in results.values())
-    structural: dict = {"note": "structural eigenpairs need k >= 3"}
-    if h.k >= 3:
-        structural = {}
-        if adj:
-            structural["adjacency"] = structural_block(TensorKind.ADJACENCY, h, adj)
-        if sig:
-            structural["signless_laplacian"] = structural_block(
-                TensorKind.SIGNLESS_LAPLACIAN, h, sig
-            )
+    radii = {TensorKind.ADJACENCY: adj, TensorKind.SIGNLESS_LAPLACIAN: sig}
     payload = {
         "schema": SCHEMA,
         "options": {"kind": args.kind, "tol": opts.tol, "max_iter": opts.max_iter},
         "spectral": {name: radius_block(r, opts.tol) for name, r in results.items()},
-        "structural": structural,
+        "structural": structural_blocks(h, {kind: r for kind, r in radii.items() if r}),
         "checks": checks_block(rep),
         "all_checks_hold": rep.all_hold,
         "converged": converged,

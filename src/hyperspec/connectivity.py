@@ -11,10 +11,10 @@ over the connected components C of G - j: a global minimum, not a local
 one.
 
 Every (pin j, component C of G - j) pair is one row of
-``eigen.perron_rows`` with mask C and c = -d, whose root is that of T_j on
-C less sigma.  So all slices run through one row-batched shifted power
-iteration with a Newton finish (see there), and each row returns a
-Collatz-Wielandt bracket.  The reported alpha is the form at a
+``eigen.perron_rows``, which removes each vertex in turn, with c = -d; the
+row's root is that of T_j on C less sigma.  So all slices run through one
+row-batched shifted power iteration with a Newton finish (see there), and
+each row returns a Collatz-Wielandt bracket.  The reported alpha is the form at a
 feasible point, the pin's best Perron vector scaled to sum x^k = 1, so it is
 an upper bound; the brackets give the certified ``lower_bound``.
 """
@@ -22,12 +22,11 @@ an upper bound; the brackets give the certified ``lower_bound``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
-from .eigen import ROW_ENTRY_CAP, BoundCheck, BoundReport, make_check, perron_rows
-from .hypergraph import Hypergraph, component_masks, degree_stats, is_connected
+from .eigen import BoundCheck, BoundReport, make_check, perron_rows
+from .hypergraph import Hypergraph, degree_stats, is_connected
 from .tensor_ops import TensorKind, apply, form
 
 # every slice bracket must close to this width for the solve to count as converged
@@ -73,22 +72,6 @@ class AlphaCertificate:
     is_upper_bound: bool = True
 
 
-def _slice_rows(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """(pin, mask) of every row: one per pin j and component of G - j.
-
-    Rows come pin by pin, and a pin's components by smallest vertex.  Pins
-    are labelled ROW_ENTRY_CAP // (m k) at a time.
-    """
-    step = max(1, ROW_ENTRY_CAP // (h.m * h.k))
-    pins, masks = [], []
-    for first in range(0, h.n, step):
-        chunk = np.arange(first, min(h.n, first + step))
-        row, mask = component_masks(h, chunk)
-        pins.append(chunk[row])
-        masks.append(mask)
-    return np.concatenate(pins), np.concatenate(masks)
-
-
 def _kkt_residual(h: Hypergraph, pinned: int, x: np.ndarray, mu: float) -> float:
     """First-order optimality defect at a feasible slice point (pinned j excluded).
 
@@ -117,10 +100,9 @@ def analytic_connectivity(
     """
     opts = opts or AlphaOptions()
     n, k = h.n, h.k
-    pins, masks = _slice_rows(h)
-    rows = perron_rows(h, masks, -h.degree_vector, BRACKET_TOL, opts.max_iter)
+    rows = perron_rows(h, np.arange(n), -h.degree_vector, BRACKET_TOL, opts.max_iter)
     # every pin has a row, since G - j keeps n - 1 >= 1 vertices
-    bounds = np.searchsorted(pins, np.arange(n + 1))
+    bounds = np.searchsorted(rows.source, np.arange(n + 1))
     mid = 0.5 * (rows.lo + rows.hi)
     best = [b + int(np.argmax(mid[b:e])) for b, e in zip(bounds[:-1], bounds[1:])]
     x = rows.vectors[best]
@@ -156,45 +138,49 @@ class CutNumbers:
 MAX_BRUTE_N = 20
 
 
-def _crossing_counts(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """Crossing-edge count for every proper nonempty subset, subsets as bitmasks."""
+def _crossing_counts(h: Hypergraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(subsets, crossing, t) for every proper nonempty subset S, as bitmasks.
+
+    ``crossing`` counts the edges that meet both S and its complement, and
+    ``t`` sums |e & S| over those edges.
+    """
     if h.n > MAX_BRUTE_N:
         raise ValueError(f"brute-force cut enumeration caps at n={MAX_BRUTE_N}, got n={h.n}")
     masks = np.arange(1, (1 << h.n) - 1, dtype=np.uint32)
     sizes = np.zeros(masks.size, dtype=np.int32)
+    inside = np.zeros(masks.size, dtype=np.int32)
     for e in h.edges:
         em = np.uint32(0)
         for v in e:
             em |= np.uint32(1 << v)
         inter = masks & em
-        sizes += ((inter != 0) & (inter != em)).astype(np.int32)
-    return masks, sizes
+        full = inter == em
+        sizes += (inter != 0) & ~full
+        inside += full
+    # the degrees over S count each edge inside S k times and a crossing edge |e & S| times
+    return masks, sizes, _subset_sums(h.degrees) - h.k * inside
+
+
+def _subset_sums(weights) -> np.ndarray:
+    """Sum of ``weights[v]`` over the bits v of every proper nonempty subset, by bitmask."""
+    sums = np.zeros(1, dtype=np.int64)
+    for w in weights:
+        sums = np.concatenate([sums, sums + w])
+    return sums[1:-1]
 
 
 def _mask_to_subset(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def _extreme_witness(masks: np.ndarray, sizes: np.ndarray, target: int) -> tuple[int, ...]:
-    best: tuple[int, ...] | None = None
-    for mask in masks[sizes == target]:
-        subset = _mask_to_subset(int(mask))
-        if best is None or subset < best:
-            best = subset
-    assert best is not None
-    return best
+    """The lexicographically least subset that ``target`` edges cross."""
+    return min(_mask_to_subset(int(mask)) for mask in masks[sizes == target])
 
 
 def cut_numbers(h: Hypergraph) -> CutNumbers:
     """Edge connectivity and max cut with witnesses, by one shared enumeration."""
-    masks, sizes = _crossing_counts(h)
+    masks, sizes, _ = _crossing_counts(h)
     lo = int(sizes.min())
     hi = int(sizes.max())
     return CutNumbers(
@@ -266,26 +252,19 @@ def connectivity_bound_report(
 def summation_law_check(h: Hypergraph, alpha: float) -> list[str]:
     """Violations of |S| * alpha <= t(S) * |E(S, S-bar)| over all proper subsets.
 
-    Exact rational arithmetic on the right-hand side; the test is meaningful
-    when ``alpha`` is at (or below) the true analytic connectivity.  Returns
-    human-readable descriptions of any violating subsets (empty means the law
-    holds everywhere).  Capped like the brute-force enumerations.
+    t(S) * |E(S, S-bar)| is the integer sum of |e & S| over the crossing
+    edges.  The test is meaningful when ``alpha`` is at (or below) the true
+    analytic connectivity.  Returns human-readable descriptions of any
+    violating subsets in bitmask order (empty means the law holds
+    everywhere).  Capped like the brute-force enumerations.
     """
     if h.n > MAX_BRUTE_N:
         raise ValueError(f"summation-law sweep caps at n={MAX_BRUTE_N}, got n={h.n}")
+    masks, crossing, t_sum = _crossing_counts(h)
+    rhs = t_sum.astype(np.float64)
+    violated = _subset_sums([1] * h.n) * alpha > rhs + 1e-7 * (1 + np.abs(rhs))
     violations: list[str] = []
-    for mask in range(1, (1 << h.n) - 1):
-        subset = _mask_to_subset(mask)
-        sset = set(subset)
-        t_total = 0
-        crossing = 0
-        for e in h.edges:
-            t = sum(1 for v in e if v in sset)
-            if 0 < t < h.k:
-                crossing += 1
-                t_total += t
-        lhs = len(subset) * alpha
-        rhs = Fraction(t_total)  # t(S) * |crossing| collapses to the integer sum
-        if lhs > float(rhs) + 1e-7 * (1 + abs(float(rhs))):
-            violations.append(f"S={subset}: {lhs} > {float(rhs)} (crossing={crossing})")
+    for mask, t, cross in zip(masks[violated], rhs[violated], crossing[violated]):
+        subset = _mask_to_subset(int(mask))
+        violations.append(f"S={subset}: {len(subset) * alpha} > {float(t)} (crossing={int(cross)})")
     return violations

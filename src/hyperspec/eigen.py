@@ -1,10 +1,11 @@
 """H-eigenpair verification, spectral radii, structural eigenpairs, and degree bounds.
 
-``perron_rows`` is the one Perron-root kernel: every block A + diag(c) on a
-vertex set, nonnegative after a diagonal shift, is a row of it, so the
-per-component radii here and the per-pin slice minima of the analytic
-connectivity in ``connectivity`` run through the same shifted power
-iteration and the same Newton finish, ``newton_polish``.
+``perron_rows`` is the one Perron-root kernel: its rows are the blocks
+A + diag(c) on the components of G less one vertex (or none), nonnegative
+after a diagonal shift, so the per-component radii here and the per-pin
+slice minima of the analytic connectivity in ``connectivity`` run through
+the same shifted power iteration and the same Newton finish,
+``newton_polish``, applied once per row.
 
 An H-eigenpair of an order-k tensor T is a pair (lambda, x != 0) with
 T x^{k-1} = lambda * x^{[k-1]} componentwise.  Eigenvectors here are
@@ -44,8 +45,7 @@ ROW_ENTRY_CAP = 2**15
 # up to this many vertices
 MAX_DEFINITENESS_N = 24
 
-# a Perron row is Newton-polished once its bracket is this narrow, and again
-# each time the bracket has narrowed by this factor since the last try
+# a Perron row is Newton-polished once, the first time its bracket is this narrow
 POLISH_GAP = 1e-3
 
 
@@ -86,6 +86,8 @@ class ComponentRadius:
 class PerronRows:
     """Outcome of ``perron_rows``, one entry per row."""
 
+    source: np.ndarray  # index into ``removed`` of the entry whose component the row is
+    masks: np.ndarray  # (rows, n): the row's component
     lo: np.ndarray  # Collatz-Wielandt bracket [lo, hi] of each row's root
     hi: np.ndarray
     vectors: np.ndarray  # (rows, n): zero off the row's mask, sup-norm 1
@@ -159,7 +161,7 @@ def _polished(
     if out is None:
         return None
     xp = out[1] / out[1].max()
-    yp, plo, phi = _ratio_bracket(h, xp[None], mask[None], c[None], shift)
+    yp, plo, phi = _ratio_bracket(h, xp[None], mask[None], c, shift)
     if phi[0] - plo[0] >= hi - lo:
         return None
     return xp, yp[0], float(plo[0]), float(phi[0])
@@ -167,20 +169,21 @@ def _polished(
 
 def perron_rows(
     h: Hypergraph,
-    masks: np.ndarray,
+    removed: np.ndarray,
     c: np.ndarray,
     tol: float,
     max_iter: int,
 ) -> PerronRows:
-    """Perron root of A + diag(c) on the vertex set of each row of ``masks``.
+    """Perron root of A + diag(c) on every component of h - removed[r].
 
-    Each row is a (mask, c) pair; ``c`` is one length-n vector or one per
-    row, at least -d on the mask.  The mask must be connected through edges
-    that lie inside it, and A acts on it through those edges only: x is 0
-    off the mask, so an edge leaving it contributes nothing there.  With
-    shift = max degree + 1, shift + c is positive on the mask, which makes
-    the block primitive.  Each row then runs the shifted power iteration
-    (NQZ)
+    ``removed`` holds vertex ids, -1 for none; ``component_masks`` labels
+    ROW_ENTRY_CAP // (m k) of them at a time, and the rows come entry by
+    entry, an entry's components by smallest vertex.  ``c`` is a length-n
+    vector, at least -d.  A acts on a row's component through the edges
+    inside it only: x is 0 off it, so an edge leaving it contributes
+    nothing there.  With shift = max degree + 1, shift + c is positive,
+    which makes the block on a connected component primitive.  Each row
+    then runs the shifted power iteration (NQZ)
 
         x <- ((A x^{k-1} + (c + shift) x^{[k-1]}) on the mask)^{1/(k-1)}
 
@@ -188,37 +191,41 @@ def perron_rows(
     eigenvector, so neither the shift nor the start changes the answer,
     only the path to it.  At every positive x the least and largest ratio
     (A x^{k-1} + c x^{[k-1]})_i / x_i^{k-1} over the mask bracket the root
-    (Collatz-Wielandt).  Once a row's bracket is narrower than POLISH_GAP it
-    is Newton-polished on its mask, and again whenever it has narrowed by
-    that factor since the last try; the bracket at the polished vector
-    replaces the power iterate's when it is narrower.  A row ends when its
-    bracket is at most ``tol`` wide (converged) or after ``max_iter`` power
-    steps; ``iterations`` counts the steps, not the bracket at the start.  A
-    row that ends before its first try (a loose ``tol`` or a small
-    ``max_iter``) gets one then, on the same terms; it does not change the
-    row's ``converged``.  One (rows, n) ``apply`` steps all live rows, and
-    at most ROW_ENTRY_CAP // (m k) rows are live at a time; a row's floats
-    do not depend on the others.
+    (Collatz-Wielandt).  A row ends when its bracket is at most ``tol``
+    wide (converged) or after ``max_iter`` power steps; ``iterations``
+    counts the steps, not the bracket at the start.  Each row is
+    Newton-polished on its mask once: when its bracket is first at most
+    POLISH_GAP wide, or else after it ends, if hi > lo (a loose ``tol`` or
+    a small ``max_iter``), which leaves ``converged`` as it was.  The
+    bracket at the polished vector replaces the power iterate's when it is
+    narrower.  One (rows, n) ``apply`` steps all live rows, and at most
+    ROW_ENTRY_CAP // (m k) rows are live at a time; a row's floats do not
+    depend on the others.
     """
-    rows = masks.shape[0]
     k = h.k
+    capacity = max(1, ROW_ENTRY_CAP // (h.m * k))
+    source, masks = [], []
+    for first in range(0, removed.size, capacity):
+        row, mask = component_masks(h, removed[first : first + capacity])
+        source.append(first + row)
+        masks.append(mask)
+    source, masks = np.concatenate(source), np.concatenate(masks)
+    rows = masks.shape[0]
     shift = float(h.degree_vector.max() + 1.0)
-    c = np.broadcast_to(np.asarray(c, dtype=np.float64), masks.shape)
     x = masks.astype(np.float64)
     lo, hi = np.zeros(rows), np.zeros(rows)
     iterations = np.zeros(rows, dtype=np.int64)
-    polish_at = np.full(rows, POLISH_GAP)
+    polished = np.zeros(rows, dtype=bool)
     floor = (1e-300) ** (1.0 / (k - 1))  # keeps x^{k-1} above underflow
-    capacity = max(1, ROW_ENTRY_CAP // (h.m * k))
     pending = iter(range(rows))
     live = np.fromiter(itertools.islice(pending, capacity), dtype=np.int64)
     while live.size:
-        y, lo[live], hi[live] = _ratio_bracket(h, x[live], masks[live], c[live], shift)
+        y, lo[live], hi[live] = _ratio_bracket(h, x[live], masks[live], c, shift)
         gap = hi[live] - lo[live]
-        for i in np.flatnonzero((gap > tol) & (gap <= polish_at[live])):
+        for i in np.flatnonzero((gap > tol) & (gap <= POLISH_GAP) & ~polished[live]):
             r = live[i]
-            polish_at[r] = gap[i] * POLISH_GAP
-            better = _polished(h, x[r], masks[r], c[r], shift, lo[r], hi[r])
+            polished[r] = True
+            better = _polished(h, x[r], masks[r], c, shift, lo[r], hi[r])
             if better is not None:
                 x[r], y[i], lo[r], hi[r] = better
         going = (hi[live] - lo[live] > tol) & (iterations[live] < max_iter)
@@ -230,12 +237,13 @@ def perron_rows(
         fresh = np.fromiter(itertools.islice(pending, capacity - kept.size), dtype=np.int64)
         live = np.concatenate([kept, fresh])
     converged = hi - lo <= tol
-    # polish_at is still POLISH_GAP on exactly the rows never tried
-    for r in np.flatnonzero((polish_at == POLISH_GAP) & (hi > lo)):
-        better = _polished(h, x[r], masks[r], c[r], shift, lo[r], hi[r])
+    for r in np.flatnonzero(~polished & (hi > lo)):
+        better = _polished(h, x[r], masks[r], c, shift, lo[r], hi[r])
         if better is not None:
             x[r], _, lo[r], hi[r] = better
-    return PerronRows(lo=lo, hi=hi, vectors=x, iterations=iterations, converged=converged)
+    return PerronRows(
+        source=source, masks=masks, lo=lo, hi=hi, vectors=x, iterations=iterations, converged=converged
+    )
 
 
 def spectral_radius(
@@ -254,9 +262,8 @@ def spectral_radius(
     if kind is TensorKind.LAPLACIAN:
         raise ValueError("spectral_radius supports only the adjacency and signless Laplacian tensors")
     opts = opts or PowerOptions()
-    _, masks = component_masks(h, np.array([-1]))
     c = h.degree_vector if kind is TensorKind.SIGNLESS_LAPLACIAN else np.zeros(h.n)
-    rows = perron_rows(h, masks, c, opts.tol, opts.max_iter)
+    rows = perron_rows(h, np.array([-1]), c, opts.tol, opts.max_iter)
     results = [
         ComponentRadius(
             vertices=tuple(np.flatnonzero(mask).tolist()),
@@ -266,7 +273,7 @@ def spectral_radius(
             iterations=int(rows.iterations[r]),
             converged=bool(rows.converged[r]),
         )
-        for r, mask in enumerate(masks)
+        for r, mask in enumerate(rows.masks)
     ]
     best = max(results, key=lambda r: r.value)
     return SpectralRadiusResult(

@@ -351,19 +351,12 @@ def grid_extremize_form(
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {u >= 0, sum u = 1} (sort and threshold).
-
-    Works row-wise: each row along the last axis of ``v`` is projected on
-    its own, to the same floats a 1-D call on that row returns.
-    """
-    u = np.sort(v, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1) - 1.0
-    ks = np.arange(1, v.shape[-1] + 1)
-    # the leading entry always passes the test, so every row has a last one that does
-    rho = v.shape[-1] - np.argmax((u - css / ks > 0)[..., ::-1], axis=-1)
-    css_rows = css.reshape(-1, v.shape[-1])
-    tau = css_rows[np.arange(css_rows.shape[0]), rho.ravel() - 1].reshape(rho.shape) / rho
-    return np.maximum(v - tau[..., None], 0.0)
+    """Euclidean projection of a vector onto {u >= 0, sum u = 1} (sort and threshold)."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    # the leading entry always passes the test, so a last one that does exists
+    rho = np.flatnonzero(u - css / np.arange(1, v.size + 1) > 0)[-1] + 1
+    return np.maximum(v - css[rho - 1] / rho, 0.0)
 
 
 def _slice_polish(

@@ -140,18 +140,24 @@ def radius_block(res: SpectralRadiusResult, tol: float) -> dict:
     }
 
 
-def structural_block(
-    kind: TensorKind, h: Hypergraph, radius: SpectralRadiusResult | None = None
-) -> list[dict]:
-    return [
-        {
-            "value": p.value,
-            "classification": p.classification.value,
-            "residual": p.residual,
-            "vector": _vec(p.vector),
-        }
-        for p in structural_eigenpairs(kind, h, radius=radius)
-    ]
+def structural_blocks(h: Hypergraph, radii: dict[TensorKind, SpectralRadiusResult | None]) -> dict:
+    """The structural eigenpairs of every kind in ``radii``, keyed by the kind's
+    value, each from its radius (None: computed at the default options), or a
+    note when k < 3."""
+    if h.k < 3:
+        return {"note": "structural eigenpairs need k >= 3"}
+    return {
+        kind.value: [
+            {
+                "value": p.value,
+                "classification": p.classification.value,
+                "residual": p.residual,
+                "vector": _vec(p.vector),
+            }
+            for p in structural_eigenpairs(kind, h, radius=radius)
+        ]
+        for kind, radius in radii.items()
+    }
 
 
 def alpha_block(cert: AlphaCertificate, opts: AlphaOptions) -> dict:
@@ -232,14 +238,9 @@ def assemble_report(
             "adjacency_radius": radius_block(adj, power_opts.tol),
             "signless_radius": radius_block(sig, power_opts.tol),
         },
-        "structural": (
-            {
-                "adjacency": structural_block(TensorKind.ADJACENCY, h, adj),
-                "laplacian": structural_block(TensorKind.LAPLACIAN, h),
-                "signless_laplacian": structural_block(TensorKind.SIGNLESS_LAPLACIAN, h, sig),
-            }
-            if h.k >= 3
-            else {"note": "structural eigenpairs need k >= 3"}
+        "structural": structural_blocks(
+            h,
+            {TensorKind.ADJACENCY: adj, TensorKind.LAPLACIAN: None, TensorKind.SIGNLESS_LAPLACIAN: sig},
         ),
         "alpha": alpha_block(cert, alpha_opts),
         "cuts": cuts_block(cuts),

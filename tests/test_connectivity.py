@@ -19,6 +19,7 @@ from hyperspec import (
     disjoint_union,
     form,
     solve_beta,
+    spectral_radius,
     summation_law_check,
 )
 
@@ -268,17 +269,32 @@ def test_batched_solver_matches_recorded_per_pin_values(name, request):
         assert value <= recorded + 1e-12
 
 
-@pytest.mark.parametrize("name, rows", [("hub_graph", 2), ("union", 1), ("union", 3)])
-def test_working_set_capacity_does_not_change_the_answer(name, rows, request, monkeypatch):
-    # one live row at a time, or a few that force refills, gives the same
-    # floats as the full working set
+def _alpha_floats(h: Hypergraph) -> tuple:
+    cert = analytic_connectivity(h, FAST)
+    return cert.per_vertex_values, cert.minimizer.tolist(), cert.converged
+
+
+def _radius_floats(h: Hypergraph) -> list:
+    res = spectral_radius(TensorKind.SIGNLESS_LAPLACIAN, h)
+    return [(c.bracket, c.vector.tolist(), c.iterations, c.converged) for c in res.components]
+
+
+@pytest.mark.parametrize(
+    "name, rows, solve",
+    [
+        pytest.param("hub_graph", 2, _alpha_floats, id="hub_graph-2"),
+        pytest.param("union", 1, _alpha_floats, id="union-1"),
+        pytest.param("union", 3, _alpha_floats, id="union-3"),
+        pytest.param("union", 1, _radius_floats, id="union-1-radius"),
+    ],
+)
+def test_working_set_capacity_does_not_change_the_answer(name, rows, solve, request, monkeypatch):
+    # one live row (and one labelled pin) at a time, or a few that force
+    # refills, gives the same floats as the full working set
     h = golden_graph(request, name)
-    want = analytic_connectivity(h, FAST)
+    want = solve(h)
     monkeypatch.setattr(eigen, "ROW_ENTRY_CAP", rows * h.m * h.k)
-    got = analytic_connectivity(h, FAST)
-    assert got.per_vertex_values == want.per_vertex_values
-    assert np.array_equal(got.minimizer, want.minimizer)
-    assert got.converged == want.converged
+    assert solve(h) == want
 
 
 def test_kkt_residual_matches_loop_reference():
@@ -357,6 +373,38 @@ def test_brute_force_caps_at_twenty_vertices():
 
 # ---------------------------------------------------------------------------
 # laws connecting alpha and the cuts
+
+
+def loop_summation_law(h: Hypergraph, alpha: float) -> list[str]:
+    """Reference sweep: every subset and every edge in plain Python, with sets."""
+    violations = []
+    for mask in range(1, (1 << h.n) - 1):
+        subset = tuple(v for v in range(h.n) if mask >> v & 1)
+        sset = set(subset)
+        t_total = crossing = 0
+        for e in h.edges:
+            t = sum(1 for v in e if v in sset)
+            if 0 < t < h.k:
+                crossing += 1
+                t_total += t
+        lhs = len(subset) * alpha
+        if lhs > float(t_total) + 1e-7 * (1 + abs(float(t_total))):
+            violations.append(f"S={subset}: {lhs} > {float(t_total)} (crossing={crossing})")
+    return violations
+
+
+def test_summation_law_matches_loop_reference():
+    rng = np.random.default_rng(65)
+    violated = 0
+    for _ in range(12):
+        k = int(rng.integers(2, 6))
+        h = random_connected(rng, k, int(rng.integers(k + 1, 10)))
+        alpha = analytic_connectivity(h, FAST).alpha
+        for a in (0.0, alpha, 1.0, 2.5, 7.0, float(rng.uniform(0.0, 10.0))):
+            want = loop_summation_law(h, a)
+            assert summation_law_check(h, a) == want, (h.edges, a)
+            violated += len(want) > 0
+    assert violated > 0  # the sweep sees laws that fail as well as ones that hold
 
 
 def test_summation_law_on_hub_graph(hub_graph):

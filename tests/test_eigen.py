@@ -21,6 +21,7 @@ from hyperspec import (
     verify_eigenpair,
 )
 
+from hyperspec import eigen
 from hyperspec.eigen import newton_polish
 
 from conftest import random_connected, single_edge
@@ -204,6 +205,30 @@ def test_k2_radii_match_matrix_eigenvalues():
 def test_nonconvergence_is_reported_not_raised(hub_graph):
     res = spectral_radius(TensorKind.ADJACENCY, hub_graph, PowerOptions(max_iter=2))
     assert not res.converged
+
+
+def test_a_failed_polish_is_not_retried(hub_graph, monkeypatch):
+    # with every Newton finish failing, the power iteration alone closes the
+    # brackets, and each row is polished at most once
+    calls = []
+
+    def failing_polish(h, c, lam, x, support):
+        calls.append(lam)
+        return None
+
+    monkeypatch.setattr(eigen, "newton_polish", failing_polish)
+    opts = PowerOptions()
+    anchors = {
+        TensorKind.ADJACENCY: HUB_ADJ_RADIUS,
+        TensorKind.SIGNLESS_LAPLACIAN: HUB_SIGNLESS_RADIUS,
+    }
+    for kind, anchor in anchors.items():
+        calls.clear()
+        res = spectral_radius(kind, hub_graph, opts)
+        assert res.converged
+        assert all(c.bracket[1] - c.bracket[0] <= opts.tol for c in res.components)
+        assert res.value == pytest.approx(anchor, abs=1e-9)
+        assert 1 <= len(calls) <= len(res.components)
 
 
 # ---------------------------------------------------------------------------

@@ -187,14 +187,17 @@ def test_alpha_per_pin_brackets_agree_with_the_grid_minimum(two_edge_path):
             assert cert.per_vertex_values[j] <= grid + 1e-12, (h.edges, j)
 
 
-def test_project_simplex_rows_match_one_dimensional_calls():
+def test_project_simplex_is_the_nearest_simplex_point():
     rng = np.random.default_rng(85)
-    v = rng.normal(size=(40, 9)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1))
-    rows = project_simplex(v)
-    for r in range(v.shape[0]):
-        assert np.array_equal(rows[r], project_simplex(v[r]))
-        assert rows[r].min() >= 0.0
-        assert rows[r].sum() == pytest.approx(1.0, abs=1e-12)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(20):
+            v = rng.normal(size=9) * scale
+            p = project_simplex(v)
+            assert p.min() >= 0.0
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+            # no other simplex point is closer to v
+            others = rng.dirichlet(np.ones(9), size=50)
+            assert np.linalg.norm(v - p) <= np.linalg.norm(v - others, axis=1).min() + 1e-12
 
 
 def test_grid_rejects_large_graphs_and_bad_objectives(hub_graph, two_edge_path):
