@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--json": dict(action="store_true", help="emit JSON instead of text"),
         "--tol": dict(type=float, default=1e-10, help="solver tolerance"),
         "--max-iter": dict(
-            type=_at_least(1), help="power iteration cap (at least 1); for alpha, per (pin, component) row"
+            type=_at_least(1),
+            help="power iteration cap per component (at least 1); for alpha, per component of each G - j",
         ),
         "--starts": dict(
             type=_at_least(0), default=32, help="echoed in the JSON only; alpha has no random starts"

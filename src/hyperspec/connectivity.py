@@ -10,13 +10,13 @@ pin's slice minimum is exactly sigma minus the largest Perron root of T_j
 over the connected components C of G - j: a global minimum, not a local
 one.
 
-Every (pin j, component C of G - j) pair is one row of
-``eigen.perron_rows``, which removes each vertex in turn, with c = -d; the
-row's root is that of T_j on C less sigma.  So all slices run through one
+Pin j is row G - j of ``eigen.perron_rows``, which removes each vertex in
+turn, with c = -d; each component C of G - j is a segment of that row, whose
+root is that of T_j on C less sigma.  So all slices run through one
 row-batched shifted power iteration with a Newton finish (see there), and
-each row returns a Collatz-Wielandt bracket.  The reported alpha is the form at a
-feasible point, the pin's best Perron vector scaled to sum x^k = 1, so it is
-an upper bound; the brackets give the certified ``lower_bound``.
+each segment returns a Collatz-Wielandt bracket.  The reported alpha is the
+form at a feasible point, the pin's best Perron vector scaled to sum x^k =
+1, so it is an upper bound; the brackets give the certified ``lower_bound``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ TIE_TOL = 1e-12
 class AlphaOptions:
     starts: int = 32  # echoed only: the Perron solve has no random starts
     seed: int = 0  # echoed only
-    max_iter: int = 1500  # power iterations per (pin, component) row
+    max_iter: int = 1500  # power iterations per component of each G - j
 
 
 @dataclass(frozen=True)
@@ -90,26 +90,25 @@ def analytic_connectivity(
 ) -> AlphaCertificate:
     """Minimize the Laplacian form over every pinned nonnegative slice.
 
-    Each (pin j, component C of G - j) row is the Perron problem of
-    A + diag(-d) on C, whose root is minus the slice minimum on C, run for
-    at most ``opts.max_iter`` power steps.  A pin's value is the form at
-    its row of largest root, scaled to sum x^k = 1; its lower bound is minus
-    the largest upper bracket end over its rows.  alpha is the value of the
-    lowest pin within TIE_TOL of the least value.  ``opts.starts`` and
+    Each component C of G - j is a segment of pin j's row, the Perron
+    problem of A + diag(-d) on C, whose root is minus the slice minimum on
+    C, run for at most ``opts.max_iter`` power steps.  A pin's value is the
+    form at its segment of largest root, scaled to sum x^k = 1; its lower
+    bound is minus the largest upper bracket end over its segments.  alpha
+    is the value of the lowest pin within TIE_TOL of the least value.  ``opts.starts`` and
     ``opts.seed`` are not read.
     """
     opts = opts or AlphaOptions()
     n, k = h.n, h.k
     rows = perron_rows(h, np.arange(n), -h.degree_vector, BRACKET_TOL, opts.max_iter)
-    # every pin has a row, since G - j keeps n - 1 >= 1 vertices
-    bounds = np.searchsorted(rows.source, np.arange(n + 1))
-    mid = 0.5 * (rows.lo + rows.hi)
-    best = [b + int(np.argmax(mid[b:e])) for b, e in zip(bounds[:-1], bounds[1:])]
-    x = rows.vectors[best]
+    # G - j keeps n - 1 >= 1 vertices, and the pin's own -inf never wins; of
+    # tied segments, the first vertex to reach the largest root is the least label
+    best = rows.label[np.arange(n), np.argmax(0.5 * (rows.lo + rows.hi), axis=1)]
+    x = np.where(rows.label == best[:, None], rows.vectors, 0.0)
     # the form is >= 0 on the slice (AM-GM per edge); dips below are rounding
     values = np.maximum(form(TensorKind.LAPLACIAN, h, x) / (x**k).sum(axis=1), 0.0)
     # a lower bound may drop to the value it bounds where rounding lifts it past
-    lower = np.clip(-np.maximum.reduceat(rows.hi, bounds[:-1]), 0.0, values)
+    lower = np.clip(-rows.hi.max(axis=1), 0.0, values)
     # ties resolve to the lowest vertex id
     pinned = int(np.flatnonzero(values <= values.min() + TIE_TOL)[0])
     minimizer = x[pinned] / float((x[pinned] ** k).sum()) ** (1.0 / k)

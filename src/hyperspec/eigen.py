@@ -1,11 +1,11 @@
 """H-eigenpair verification, spectral radii, structural eigenpairs, and degree bounds.
 
-``perron_rows`` is the one Perron-root kernel: its rows are the blocks
-A + diag(c) on the components of G less one vertex (or none), nonnegative
-after a diagonal shift, so the per-component radii here and the per-pin
-slice minima of the analytic connectivity in ``connectivity`` run through
-the same shifted power iteration and the same Newton finish,
-``newton_polish``, applied once per row.
+``perron_rows`` is the one Perron-root kernel: a row is G less one vertex
+(or none), and each of its components is a segment, the block A + diag(c)
+on it, nonnegative after a diagonal shift.  So the per-component radii
+here and the per-pin slice minima of the analytic connectivity in
+``connectivity`` run through the same shifted power iteration and the same
+Newton finish, ``newton_polish``, applied once per segment.
 
 An H-eigenpair of an order-k tensor T is a pair (lambda, x != 0) with
 T x^{k-1} = lambda * x^{[k-1]} componentwise.  Eigenvectors here are
@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, component_masks, degree_stats
+from .hypergraph import Hypergraph, component_labels, degree_stats, label_groups
 from .tensor_ops import TensorKind, adjacency_jacobian, apply, as_vector
 
 # entries within this of zero (after sup-norm scaling) count as zero; entries
@@ -76,21 +76,25 @@ class PowerOptions:
 class ComponentRadius:
     vertices: tuple[int, ...]
     value: float
-    vector: np.ndarray  # full length, zero off the component, sup-norm 1
     bracket: tuple[float, float]
     iterations: int
     converged: bool
+    row: np.ndarray = field(repr=False)  # the Perron row that holds every component
+
+    @property
+    def vector(self) -> np.ndarray:
+        """Full length, zero off the component, sup-norm 1."""
+        return np.where(np.isin(np.arange(self.row.size), self.vertices), self.row, 0.0)
 
 
 @dataclass(frozen=True)
 class PerronRows:
-    """Outcome of ``perron_rows``, one entry per row."""
+    """Outcome of ``perron_rows``: in each row, every vertex holds its segment's values."""
 
-    source: np.ndarray  # index into ``removed`` of the entry whose component the row is
-    masks: np.ndarray  # (rows, n): the row's component
-    lo: np.ndarray  # Collatz-Wielandt bracket [lo, hi] of each row's root
+    label: np.ndarray  # (rows, n): the smallest vertex of the segment; a removed vertex's own id
+    lo: np.ndarray  # Collatz-Wielandt bracket [lo, hi] of the segment's root, -inf at a removed vertex
     hi: np.ndarray
-    vectors: np.ndarray  # (rows, n): zero off the row's mask, sup-norm 1
+    vectors: np.ndarray  # each segment at sup-norm 1, 0 at a removed vertex
     iterations: np.ndarray  # power steps run
     converged: np.ndarray  # the bracket closed to within tol in max_iter power steps
 
@@ -139,32 +143,34 @@ def verify_eigenpair(
 
 
 def _ratio_bracket(
-    h: Hypergraph, x: np.ndarray, masks: np.ndarray, c: np.ndarray, shift: float
+    h: Hypergraph, x: np.ndarray, member: np.ndarray, cells: np.ndarray, c: np.ndarray, shift: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(y, lo, hi) for every row: y = (A x^{k-1} + (c + shift) x^{[k-1]}) on the row's
-    mask, and the least and largest ratio y_i / x_i^{k-1} over the mask, less the shift."""
+    """(y, lo, hi) at a (rows, n) x: y = A x^{k-1} + (c + shift) x^{[k-1]} on the ``member``
+    entries, else 0; lo and hi, shaped like x, hold in each cell the least and largest
+    y_i / x_i^{k-1} of the members ``cells`` sends there, less the shift (else inf, -inf)."""
     xkm1 = x ** (h.k - 1)
-    y = np.where(masks, apply(TensorKind.ADJACENCY, h, x) + (c + shift) * xkm1, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = y / xkm1
-    lo = np.where(masks, ratios, np.inf).min(axis=1) - shift
-    hi = np.where(masks, ratios, -np.inf).max(axis=1) - shift
-    return y, lo, hi
+    y = np.where(member, apply(TensorKind.ADJACENCY, h, x) + (c + shift) * xkm1, 0.0)
+    ratios = y[member] / xkm1[member]
+    lo, hi = np.full(x.size, np.inf), np.full(x.size, -np.inf)
+    np.minimum.at(lo, cells, ratios)
+    np.maximum.at(hi, cells, ratios)
+    return y, (lo - shift).reshape(x.shape), (hi - shift).reshape(x.shape)
 
 
 def _polished(
-    h: Hypergraph, x: np.ndarray, mask: np.ndarray, c: np.ndarray, shift: float, lo: float, hi: float
+    h: Hypergraph, x: np.ndarray, on: np.ndarray, c: np.ndarray, shift: float, lo: float, hi: float
 ) -> tuple[np.ndarray, np.ndarray, float, float] | None:
-    """(x, y, lo, hi) of ``_ratio_bracket`` at the Newton-polished x of one row, or
-    None when the polish fails or does not narrow [lo, hi]."""
-    out = newton_polish(h, c, 0.5 * (lo + hi), x, np.flatnonzero(mask))
+    """(x, y, lo, hi) of ``_ratio_bracket`` on the segment ``on`` of one row at its
+    Newton-polished x, or None when the polish fails or does not narrow [lo, hi]."""
+    supp = np.flatnonzero(on)
+    out = newton_polish(h, c, 0.5 * (lo + hi), x, supp)
     if out is None:
         return None
     xp = out[1] / out[1].max()
-    yp, plo, phi = _ratio_bracket(h, xp[None], mask[None], c, shift)
-    if phi[0] - plo[0] >= hi - lo:
+    yp, plo, phi = _ratio_bracket(h, xp[None], on[None], np.zeros(supp.size, dtype=np.int64), c, shift)
+    if phi[0, 0] - plo[0, 0] >= hi - lo:
         return None
-    return xp, yp[0], float(plo[0]), float(phi[0])
+    return xp[supp], yp[0, supp], float(plo[0, 0]), float(phi[0, 0])
 
 
 def perron_rows(
@@ -176,74 +182,78 @@ def perron_rows(
 ) -> PerronRows:
     """Perron root of A + diag(c) on every component of h - removed[r].
 
-    ``removed`` holds vertex ids, -1 for none; ``component_masks`` labels
-    ROW_ENTRY_CAP // (m k) of them at a time, and the rows come entry by
-    entry, an entry's components by smallest vertex.  ``c`` is a length-n
-    vector, at least -d.  A acts on a row's component through the edges
-    inside it only: x is 0 off it, so an edge leaving it contributes
-    nothing there.  With shift = max degree + 1, shift + c is positive,
-    which makes the block on a connected component primitive.  Each row
-    then runs the shifted power iteration (NQZ)
+    ``removed`` holds vertex ids, -1 for none.  Row r is h - removed[r], and
+    each of its components is a segment, labelled by ``component_labels``
+    with its smallest vertex.  ``c`` is a length-n vector, at least -d.  No
+    edge joins two segments, and an edge through the removed vertex, held
+    at 0, adds an exact 0 to its other vertices, so a vertex's floats do not
+    depend on the other segments of its row.  With shift = max degree + 1,
+    shift + c is positive, which makes the block on a segment primitive.
+    Each segment then runs the shifted power iteration (NQZ)
 
-        x <- ((A x^{k-1} + (c + shift) x^{[k-1]}) on the mask)^{1/(k-1)}
+        x <- (A x^{k-1} + (c + shift) x^{[k-1]})^{1/(k-1)}, at sup-norm 1 per segment
 
-    from the all-ones vector on its mask.  The root has exactly one positive
+    from the all-ones vector.  The root has exactly one positive
     eigenvector, so neither the shift nor the start changes the answer,
     only the path to it.  At every positive x the least and largest ratio
-    (A x^{k-1} + c x^{[k-1]})_i / x_i^{k-1} over the mask bracket the root
-    (Collatz-Wielandt).  A row ends when its bracket is at most ``tol``
-    wide (converged) or after ``max_iter`` power steps; ``iterations``
-    counts the steps, not the bracket at the start.  Each row is
-    Newton-polished on its mask once: when its bracket is first at most
-    POLISH_GAP wide, or else after it ends, if hi > lo (a loose ``tol`` or
-    a small ``max_iter``), which leaves ``converged`` as it was.  The
-    bracket at the polished vector replaces the power iterate's when it is
-    narrower.  One (rows, n) ``apply`` steps all live rows, and at most
-    ROW_ENTRY_CAP // (m k) rows are live at a time; a row's floats do not
-    depend on the others.
+    (A x^{k-1} + c x^{[k-1]})_i / x_i^{k-1} over the segment bracket its
+    root (Collatz-Wielandt).  A segment stops when its bracket is at most
+    ``tol`` wide (converged) or after ``max_iter`` power steps, and keeps
+    its x from then on; ``iterations`` counts the steps, not the bracket at
+    the start.  Each segment is Newton-polished once: when its bracket is
+    first at most POLISH_GAP wide, or else after the iteration, if hi > lo
+    (a loose ``tol`` or a small ``max_iter``), which leaves ``converged`` as
+    it was.  The bracket at the polished vector replaces the power
+    iterate's when it is narrower.  A row is live while any of its segments
+    is; at most ROW_ENTRY_CAP // (m k) rows are, stepped by one (rows, n)
+    ``apply``, and a reduction over segments is one ``ufunc.at``.
     """
-    k = h.k
+    k, n = h.k, h.n
     capacity = max(1, ROW_ENTRY_CAP // (h.m * k))
-    source, masks = [], []
-    for first in range(0, removed.size, capacity):
-        row, mask = component_masks(h, removed[first : first + capacity])
-        source.append(first + row)
-        masks.append(mask)
-    source, masks = np.concatenate(source), np.concatenate(masks)
-    rows = masks.shape[0]
+    chunks = range(0, removed.size, capacity)
+    label = np.vstack([component_labels(h, removed[first : first + capacity]) for first in chunks])
+    member = np.arange(n) != removed[:, None]
     shift = float(h.degree_vector.max() + 1.0)
-    x = masks.astype(np.float64)
-    lo, hi = np.zeros(rows), np.zeros(rows)
-    iterations = np.zeros(rows, dtype=np.int64)
-    polished = np.zeros(rows, dtype=bool)
+    x = member.astype(np.float64)
+    # the segment labelled s in row r keeps its bracket, steps and polish at [r, s]
+    lo, hi = np.full(x.shape, np.inf), np.full(x.shape, -np.inf)
+    iterations = np.zeros(x.shape, dtype=np.int64)
+    polished = np.zeros(x.shape, dtype=bool)
     floor = (1e-300) ** (1.0 / (k - 1))  # keeps x^{k-1} above underflow
-    pending = iter(range(rows))
+    pending = iter(range(removed.size))
     live = np.fromiter(itertools.islice(pending, capacity), dtype=np.int64)
     while live.size:
-        y, lo[live], hi[live] = _ratio_bracket(h, x[live], masks[live], c, shift)
-        gap = hi[live] - lo[live]
-        for i in np.flatnonzero((gap > tol) & (gap <= POLISH_GAP) & ~polished[live]):
-            r = live[i]
-            polished[r] = True
-            better = _polished(h, x[r], masks[r], c, shift, lo[r], hi[r])
-            if better is not None:
-                x[r], y[i], lo[r], hi[r] = better
-        going = (hi[live] - lo[live] > tol) & (iterations[live] < max_iter)
-        step = y[going] ** (1.0 / (k - 1))
-        step /= step.max(axis=1, keepdims=True)
-        kept = live[going]
-        x[kept] = np.where(masks[kept], np.maximum(step, floor), 0.0)
-        iterations[kept] += 1
-        fresh = np.fromiter(itertools.islice(pending, capacity - kept.size), dtype=np.int64)
-        live = np.concatenate([kept, fresh])
+        # live row i keeps its own state, and its segment labelled s at cell i*n + s
+        lab, inside, xl, steps, tried = label[live], member[live], x[live], iterations[live], polished[live]
+        cell = lab + np.arange(live.size)[:, None] * n
+        busy = np.ones(live.size, dtype=bool)
+        while busy.all():  # until a row stops
+            y, slo, shi = _ratio_bracket(h, xl, inside, cell[inside], c, shift)
+            gap = shi - slo
+            for i, s in zip(*np.nonzero((gap > tol) & (gap <= POLISH_GAP) & ~tried)):
+                on, tried[i, s] = lab[i] == s, True
+                better = _polished(h, xl[i], on, c, shift, slo[i, s], shi[i, s])
+                if better is not None:
+                    xl[i, on], y[i, on], slo[i, s], shi[i, s] = better
+            going = (shi - slo > tol) & (steps < max_iter)
+            busy = going.any(axis=1)
+            step = y ** (1.0 / (k - 1))
+            top = np.zeros(xl.size)
+            np.maximum.at(top, cell, step)
+            with np.errstate(invalid="ignore"):  # 0 / 0 at a removed vertex, which keeps its 0
+                xl = np.where(going.ravel()[cell], np.maximum(step / top[cell], floor), xl)
+            steps += going
+        x[live], iterations[live], polished[live], lo[live], hi[live] = xl, steps, tried, slo, shi
+        fresh = np.fromiter(itertools.islice(pending, capacity - int(busy.sum())), dtype=np.int64)
+        live = np.concatenate([live[busy], fresh])
     converged = hi - lo <= tol
-    for r in np.flatnonzero(~polished & (hi > lo)):
-        better = _polished(h, x[r], masks[r], c, shift, lo[r], hi[r])
+    for r, s in zip(*np.nonzero(~polished & (hi > lo))):
+        on = label[r] == s
+        better = _polished(h, x[r], on, c, shift, lo[r, s], hi[r, s])
         if better is not None:
-            x[r], _, lo[r], hi[r] = better
-    return PerronRows(
-        source=source, masks=masks, lo=lo, hi=hi, vectors=x, iterations=iterations, converged=converged
-    )
+            x[r, on], _, lo[r, s], hi[r, s] = better
+    at = np.arange(removed.size)[:, None], label  # every vertex's segment
+    return PerronRows(label, np.where(member, lo[at], -np.inf), hi[at], x, iterations[at], converged[at])
 
 
 def spectral_radius(
@@ -253,27 +263,28 @@ def spectral_radius(
 ) -> SpectralRadiusResult:
     """Largest H-eigenvalue of A or Q, computed per connected component.
 
-    Every component is one row of ``perron_rows``, with c = 0 for A and
-    c = d for Q, run to ``opts.tol`` or for at most ``opts.max_iter`` power
-    steps.  The radius of the whole graph is the maximum over components;
-    each component carries a positive witness vector.  The Laplacian is
-    rejected because its largest H-eigenvalue is not a Perron root.
+    Each component is a segment of one ``perron_rows`` row, with c = 0 for
+    A and c = d for Q, run to ``opts.tol`` or for at most ``opts.max_iter``
+    power steps.  The radius of the whole graph is the maximum over
+    components; each component carries a positive witness vector.  The
+    Laplacian is rejected because its largest H-eigenvalue is not a Perron root.
     """
     if kind is TensorKind.LAPLACIAN:
         raise ValueError("spectral_radius supports only the adjacency and signless Laplacian tensors")
     opts = opts or PowerOptions()
     c = h.degree_vector if kind is TensorKind.SIGNLESS_LAPLACIAN else np.zeros(h.n)
     rows = perron_rows(h, np.array([-1]), c, opts.tol, opts.max_iter)
+    lo, hi = rows.lo[0], rows.hi[0]
     results = [
         ComponentRadius(
-            vertices=tuple(np.flatnonzero(mask).tolist()),
-            value=float(0.5 * (rows.lo[r] + rows.hi[r])),
-            vector=rows.vectors[r],
-            bracket=(float(rows.lo[r]), float(rows.hi[r])),
-            iterations=int(rows.iterations[r]),
-            converged=bool(rows.converged[r]),
+            vertices=tuple(g.tolist()),
+            value=float(0.5 * (lo[g[0]] + hi[g[0]])),
+            bracket=(float(lo[g[0]]), float(hi[g[0]])),
+            iterations=int(rows.iterations[0, g[0]]),
+            converged=bool(rows.converged[0, g[0]]),
+            row=rows.vectors[0],
         )
-        for r, mask in enumerate(rows.masks)
+        for g in label_groups(rows.label[0])
     ]
     best = max(results, key=lambda r: r.value)
     return SpectralRadiusResult(
@@ -328,7 +339,7 @@ def newton_polish(
         if size < 1e-14 or (size >= last and size <= 1e-10):
             break
         last = size
-        J = adjacency_jacobian(h, x)[np.ix_(supp, supp)]
+        J = adjacency_jacobian(h, x, supp)
         J[np.diag_indices_from(J)] += (c[supp] - lam) * ((k - 1) * x[supp] ** (k - 2))
         pivot = supp == p
         J[:, pivot] = -xkm1[:, None]  # x_p is fixed, so its column solves for lam
@@ -394,8 +405,8 @@ def minimal_binary_eigenvectors(h: Hypergraph) -> tuple[np.ndarray, ...]:
     These are exactly the component indicators; any linear combination of
     them is again an eigenvector for 0.
     """
-    _, masks = component_masks(h, np.array([-1]))
-    return tuple(masks.astype(np.float64))
+    label = component_labels(h, np.array([-1]))[0]
+    return tuple((np.unique(label)[:, None] == label).astype(np.float64))
 
 
 @dataclass(frozen=True)

@@ -234,27 +234,16 @@ def component_labels(h: Hypergraph, removed: np.ndarray) -> np.ndarray:
         label = new
 
 
-def component_masks(h: Hypergraph, removed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, mask) of every component of h - removed[row], one entry per component.
-
-    Entries come row by row, and a row's components by smallest vertex.  A
-    removed vertex is in no component; removed[row] = -1 removes nothing.
-    """
-    label = component_labels(h, removed)
-    # a component's smallest vertex labels itself, and so does a removed vertex
-    row, smallest = np.nonzero(label == np.arange(h.n))
-    keep = smallest != removed[row]
-    row, smallest = row[keep], smallest[keep]
-    return row, label[row] == smallest[:, None]
+def label_groups(label: np.ndarray) -> list[np.ndarray]:
+    """The vertices of each label in a row of ``component_labels``, ordered by label."""
+    # a stable sort keeps each group ascending, and its label is its smallest member
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def components(h: Hypergraph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by smallest member."""
-    label = component_labels(h, np.array([-1]))[0]
-    # a stable sort keeps each component ascending, and its label is its smallest member
-    order = np.argsort(label, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
-    return [tuple(g.tolist()) for g in groups]
+    return [tuple(g.tolist()) for g in label_groups(component_labels(h, np.array([-1]))[0])]
 
 
 def is_connected(h: Hypergraph) -> bool:

@@ -364,3 +364,18 @@ def test_spectral_command_does_not_import_the_oracle():
     assert {"hyperspec.eigen", "hyperspec.report"} <= imported
     assert "hyperspec.oracle" not in imported
     assert done.stdout == (DATA / "hub.spectral.json").read_text()
+
+
+def test_spectral_on_a_perfect_matching_stays_small(tmp_path):
+    # 5,000 components share one Perron row, so memory stays O(n + components)
+    n = 10_000
+    path = tmp_path / "matching.khg"
+    path.write_text(f"2 {n} {n // 2}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n, 2)))
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "hyperspec.cli", "spectral", "--json", str(path)]
+    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss / 1024 < 128  # MB; ru_maxrss is in kB on Linux

@@ -203,6 +203,16 @@ def golden_graph(request, name: str) -> Hypergraph:
             random_connected(np.random.default_rng(51), 3, 5),
             random_connected(np.random.default_rng(52), 3, 4),
         ),
+        "parts": lambda: disjoint_union(
+            disjoint_union(
+                random_connected(np.random.default_rng(53), 3, 6),
+                random_connected(np.random.default_rng(54), 3, 4),
+            ),
+            disjoint_union(
+                random_connected(np.random.default_rng(55), 3, 5),
+                random_connected(np.random.default_rng(56), 3, 3),
+            ),
+        ),
     }
     return seeded[name]() if name in seeded else request.getfixturevalue(name)
 
@@ -286,6 +296,9 @@ def _radius_floats(h: Hypergraph) -> list:
         pytest.param("union", 1, _alpha_floats, id="union-1"),
         pytest.param("union", 3, _alpha_floats, id="union-3"),
         pytest.param("union", 1, _radius_floats, id="union-1-radius"),
+        pytest.param("parts", 1, _alpha_floats, id="parts-1"),
+        pytest.param("parts", 3, _alpha_floats, id="parts-3"),
+        pytest.param("parts", 1, _radius_floats, id="parts-1-radius"),
     ],
 )
 def test_working_set_capacity_does_not_change_the_answer(name, rows, solve, request, monkeypatch):

@@ -173,6 +173,29 @@ def test_disjoint_union_radius_is_componentwise_max(hub_graph, two_edge_path):
             assert whole.value == pytest.approx(part.value, abs=1e-13)
 
 
+def test_radii_of_graphs_with_thousands_of_components(two_edge_path):
+    # a component's floats do not depend on the other segments of its row
+    n, copies = two_edge_path.n, 1001
+    edges = [tuple(v + n * c for v in e) for c in range(copies) for e in two_edge_path.edges]
+    union = Hypergraph.from_edges(3, n * copies, edges)
+    for kind in (TensorKind.ADJACENCY, TensorKind.SIGNLESS_LAPLACIAN):
+        (one,) = spectral_radius(kind, two_edge_path).components
+        res = spectral_radius(kind, union)
+        assert len(res.components) == copies
+        for c, comp in enumerate(res.components):
+            assert comp.vertices == tuple(range(n * c, n * c + n))
+            assert (comp.bracket, comp.iterations, comp.converged) == (one.bracket, one.iterations, True)
+            vector = comp.vector
+            assert np.array_equal(vector[n * c : n * c + n], one.vector)
+            assert not vector[: n * c].any() and not vector[n * c + n :].any()
+    # a perfect matching's 5,000 edges each close their bracket at the start
+    matching = Hypergraph.from_edges(2, 10_000, [(v, v + 1) for v in range(0, 10_000, 2)])
+    for kind, radius in ((TensorKind.ADJACENCY, 1.0), (TensorKind.SIGNLESS_LAPLACIAN, 2.0)):
+        res = spectral_radius(kind, matching)
+        assert len(res.components) == 5_000 and res.value == radius
+        assert all(c.bracket == (radius, radius) and c.iterations == 0 for c in res.components)
+
+
 def test_radius_pair_residuals_of_a_mid_size_k4_graph():
     rng = np.random.default_rng(185)
     h = random_connected(rng, 4, 60, max_extra=1500)
