@@ -3,14 +3,23 @@
 Subcommands: info, spectral, alpha, verify, report.  File inputs use the
 ``.khg`` text format with 1-based vertex ids, and every id this tool prints
 is 1-based as well.  Exit codes: 0 success, 1 a bound check failed,
-2 malformed input, 3 a solver failed to converge.
+2 malformed input, 3 a solver failed to converge.  The CLI runs OpenBLAS on
+one thread unless the caller set ``OPENBLAS_NUM_THREADS``; ``import hyperspec``
+leaves it alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+# Set before the first numpy import, which starts OpenBLAS's thread pool.  No
+# computation here gains from BLAS threads (elementwise and bincount kernels
+# plus small dense Newton solves), yet an idle helper thread spins for about
+# 0.1 s of CPU in every process, and more when a solve wakes it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -71,6 +71,9 @@ class PowerOptions:
     tol: float = 1e-10
     max_iter: int = 100_000  # power steps per component
 
+    def __post_init__(self) -> None:
+        _check_tolerance(self.tol)
+
 
 @dataclass(frozen=True)
 class ComponentRadius:
@@ -107,6 +110,12 @@ class SpectralRadiusResult:
     converged: bool
 
 
+def _check_tolerance(tol: float) -> None:
+    """Reject a tolerance that is NaN, infinite or not above 0."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and above 0, got {tol!r}")
+
+
 def normalize_eigenvector(x: np.ndarray) -> np.ndarray:
     """Scale to sup-norm 1 and flip sign so the largest-magnitude entry is positive."""
     norm = np.abs(x).max()
@@ -129,6 +138,7 @@ def verify_eigenpair(
     """Check T x^{k-1} = value * x^{[k-1]} and classify the pair by sign structure."""
     if not math.isfinite(value):
         raise ValueError(f"eigenvalue must be finite, got {value!r}")
+    _check_tolerance(tol)
     v = normalize_eigenvector(as_vector(h, x))
     residual = float(np.abs(apply(kind, h, v) - value * v ** (h.k - 1)).max())
     if residual > tol:

@@ -129,6 +129,23 @@ def test_iteration_cap_below_one_exits_2(capsys, hub_file, command, cap):
     assert "--max-iter" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["spectral", "--kind", "A"],
+        ["verify", "--kind", "A", "--lambda", "123", "--x", "1,0.5,1,1,1,1,1,1"],
+        ["report"],
+    ],
+    ids=["spectral", "verify", "report"],
+)
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_bad_tolerance_exits_2(capsys, hub_file, command, tol):
+    code, out, err = run(capsys, [*command, f"--tol={tol}", hub_file])
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be finite and above 0" in err
+
+
 @pytest.mark.parametrize("command", ["alpha", "report"])
 def test_negative_starts_exit_2(capsys, path_file, command):
     with pytest.raises(SystemExit) as exc:
@@ -352,9 +369,23 @@ def test_output_is_byte_identical_to_the_recording(capsys, graph, argv):
     assert out == (DATA / f"{graph}.{argv[0]}.json").read_text()
 
 
-def test_spectral_command_does_not_import_the_oracle():
+def child_env(**overrides: str | None) -> dict[str, str]:
+    """This process's environment with the package's source first on PYTHONPATH;
+    an override of None removes that variable."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.update(overrides)
+    return {name: value for name, value in env.items() if value is not None}
+
+
+def run_python(code: str, env: dict[str, str]) -> str:
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+
+
+def test_spectral_command_does_not_import_the_oracle():
+    env = child_env()
     argv = ["spectral", "--kind", "all", "--json", str(DATA / "hub.khg")]
     done = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "hyperspec.cli", *argv],
@@ -366,15 +397,35 @@ def test_spectral_command_does_not_import_the_oracle():
     assert done.stdout == (DATA / "hub.spectral.json").read_text()
 
 
+def test_import_hyperspec_loads_no_numpy_and_resolves_every_name():
+    code = (
+        "import sys, hyperspec\n"
+        "print('numpy' in sys.modules)\n"
+        "print([name for name in hyperspec.__all__ if getattr(hyperspec, name, None) is None])\n"
+    )
+    assert run_python(code, child_env()).splitlines() == ["False", "[]"]
+
+
+TASKS = Path("/proc/self/task")
+
+
+@pytest.mark.skipif(not TASKS.is_dir(), reason="needs /proc/self/task to count threads")
+@pytest.mark.parametrize("inherited, tasks", [(None, 1), ("2", 2)], ids=["unset", "two"])
+def test_cli_runs_openblas_on_one_thread_unless_the_caller_says_otherwise(inherited, tasks):
+    if tasks > 1 and (os.cpu_count() or 1) < tasks:
+        pytest.skip(f"OpenBLAS starts at most one thread per core; needs {tasks} cores")
+    code = "import os, hyperspec.cli\nprint(len(os.listdir('/proc/self/task')))\n"
+    env = child_env(OPENBLAS_NUM_THREADS=inherited)
+    assert run_python(code, env) == f"{tasks}\n"
+
+
 def test_spectral_on_a_perfect_matching_stays_small(tmp_path):
     # 5,000 components share one Perron row, so memory stays O(n + components)
     n = 10_000
     path = tmp_path / "matching.khg"
     path.write_text(f"2 {n} {n // 2}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n, 2)))
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = [sys.executable, "-m", "hyperspec.cli", "spectral", "--json", str(path)]
-    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, env=env)
+    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, env=child_env())
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 0
