@@ -87,17 +87,17 @@ def cmd_spectral(args: argparse.Namespace) -> int:
     sig = results.get("signless_radius")
     rep = bound_report(h, lambda1=adj.value if adj else None, nu1=sig.value if sig else None)
     converged = all(r.converged for r in results.values())
-    radii = {TensorKind.ADJACENCY: adj, TensorKind.SIGNLESS_LAPLACIAN: sig}
-    payload = {
-        "schema": SCHEMA,
-        "options": {"kind": args.kind, "tol": opts.tol, "max_iter": opts.max_iter},
-        "spectral": {name: radius_block(r, opts.tol) for name, r in results.items()},
-        "structural": structural_blocks(h, {kind: r for kind, r in radii.items() if r}),
-        "checks": checks_block(rep),
-        "all_checks_hold": rep.all_hold,
-        "converged": converged,
-    }
     if args.json:
+        radii = {TensorKind.ADJACENCY: adj, TensorKind.SIGNLESS_LAPLACIAN: sig}
+        payload = {
+            "schema": SCHEMA,
+            "options": {"kind": args.kind, "tol": opts.tol, "max_iter": opts.max_iter},
+            "spectral": {name: radius_block(r, opts.tol) for name, r in results.items()},
+            "structural": structural_blocks(h, {kind: r for kind, r in radii.items() if r}),
+            "checks": checks_block(rep),
+            "all_checks_hold": rep.all_hold,
+            "converged": converged,
+        }
         _emit(payload, args.out)
     else:
         if adj:

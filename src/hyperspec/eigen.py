@@ -20,11 +20,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, component_labels, degree_stats, label_groups
+from .hypergraph import Hypergraph, component_labels, degree_stats, induced, label_groups
 from .tensor_ops import TensorKind, adjacency_jacobian, apply, as_vector
 
 # entries within this of zero (after sup-norm scaling) count as zero; entries
@@ -170,17 +169,20 @@ def _ratio_bracket(
 def _polished(
     h: Hypergraph, x: np.ndarray, on: np.ndarray, c: np.ndarray, shift: float, lo: float, hi: float
 ) -> tuple[np.ndarray, np.ndarray, float, float] | None:
-    """(x, y, lo, hi) of ``_ratio_bracket`` on the segment ``on`` of one row at its
-    Newton-polished x, or None when the polish fails or does not narrow [lo, hi]."""
-    supp = np.flatnonzero(on)
-    out = newton_polish(h, c, 0.5 * (lo + hi), x, supp)
+    """(x, y, lo, hi) of ``_ratio_bracket`` on the segment ``on`` of one row, at its x
+    Newton-polished on the segment's own hypergraph, or None when the polish
+    fails or does not narrow [lo, hi]."""
+    S = np.flatnonzero(on)
+    g = induced(h, S)
+    out = newton_polish(g, c[S], 0.5 * (lo + hi), x[S])
     if out is None:
         return None
     xp = out[1] / out[1].max()
-    yp, plo, phi = _ratio_bracket(h, xp[None], on[None], np.zeros(supp.size, dtype=np.int64), c, shift)
+    whole = np.ones((1, S.size), dtype=bool)
+    yp, plo, phi = _ratio_bracket(g, xp[None], whole, np.zeros(S.size, dtype=np.int64), c[S], shift)
     if phi[0, 0] - plo[0, 0] >= hi - lo:
         return None
-    return xp[supp], yp[0, supp], float(plo[0, 0]), float(phi[0, 0])
+    return xp, yp[0], float(plo[0, 0]), float(phi[0, 0])
 
 
 def perron_rows(
@@ -305,61 +307,48 @@ def spectral_radius(
     )
 
 
-def newton_polish(
-    h: Hypergraph,
-    c: np.ndarray,
-    lam: float,
-    x: np.ndarray,
-    support: Sequence[int] | np.ndarray,
-) -> tuple[float, np.ndarray] | None:
-    """Newton refinement of A x^{k-1} + c x^{[k-1]} = lam x^{[k-1]} on a vertex support.
+def newton_polish(h: Hypergraph, c: np.ndarray, lam: float, x: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """Newton refinement of A x^{k-1} + c x^{[k-1]} = lam x^{[k-1]} on h.
 
-    The equations are those of the vertices in S = ``support``, with x held
-    at 0 off S; c = 0 gives A, c = d gives Q, and c = -d with lam negated
-    gives L.  The pivot p is the vertex of S where the start is largest:
-    x_p is held at 1, the sup-norm-1 scale ``verify_eigenpair`` reads, and
-    lam takes its place among the unknowns, so the Jacobian is square and,
-    at a simple eigenvalue of the principal block on S, nonsingular.
-    Stops after 20 steps, or once the largest equation defect is below
-    1e-14, or below 1e-10 and no smaller than at the previous step, and
-    returns that iterate.  Returns None when the start is not positive at
-    the pivot, a solve fails, or a step leaves the positive cone on S or
-    stops being finite.  The caller decides whether the result improves on
-    its input.
+    c = 0 gives A, c = d gives Q, and c = -d with lam negated gives L.  The
+    pivot p is the vertex where the start is largest: x_p is held at 1, the
+    sup-norm-1 scale ``verify_eigenpair`` reads, and lam takes its place
+    among the unknowns, so the Jacobian is square and, at a simple
+    eigenvalue, nonsingular.  Stops after 20 steps, or once the largest
+    equation defect is below 1e-14, or below 1e-10 and no smaller than at
+    the previous step, and returns that iterate.  Returns None when the
+    start is not positive at the pivot, a solve fails, or a step leaves the
+    positive cone or stops being finite.  The caller decides whether the
+    result improves on its input.
     """
     k = h.k
-    supp = np.asarray(support, dtype=np.int64)
-    if supp.size == 0:
-        return None
     c = np.broadcast_to(np.asarray(c, dtype=np.float64), (h.n,))
-    start = as_vector(h, x)
-    p = int(supp[np.argmax(start[supp])])
-    if not start[p] > 0.0:
+    x = as_vector(h, x)
+    p = int(np.argmax(x))
+    if not x[p] > 0.0:
         return None
-    x = np.zeros(h.n)
-    x[supp] = start[supp] / start[p]
-    x[p] = 1.0
+    x = x / x[p]
     last = math.inf
     for _ in range(20):
-        xkm1 = x[supp] ** (k - 1)
-        F = apply(TensorKind.ADJACENCY, h, x)[supp] + (c[supp] - lam) * xkm1
+        xkm1 = x ** (k - 1)
+        F = apply(TensorKind.ADJACENCY, h, x) + (c - lam) * xkm1
         size = float(np.abs(F).max())
         # no longer falling once small: the defect is at its rounding floor;
         # far from the root Newton may rise before it falls
         if size < 1e-14 or (size >= last and size <= 1e-10):
             break
         last = size
-        J = adjacency_jacobian(h, x, supp)
-        J[np.diag_indices_from(J)] += (c[supp] - lam) * ((k - 1) * x[supp] ** (k - 2))
-        pivot = supp == p
-        J[:, pivot] = -xkm1[:, None]  # x_p is fixed, so its column solves for lam
+        J = adjacency_jacobian(h, x)
+        J[np.diag_indices_from(J)] += (c - lam) * ((k - 1) * x ** (k - 2))
+        J[:, p] = -xkm1  # x_p is fixed, so its column solves for lam
         try:
             delta = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             return None
-        x[supp[~pivot]] += delta[~pivot]
-        lam += float(delta[pivot][0])
-        if not (np.all(np.isfinite(x)) and math.isfinite(lam) and np.all(x[supp] > 0.0)):
+        lam += float(delta[p])
+        delta[p] = 0.0
+        x += delta
+        if not (np.all(np.isfinite(x)) and math.isfinite(lam) and np.all(x > 0.0)):
             return None
     return lam, x
 

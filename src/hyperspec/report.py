@@ -39,6 +39,10 @@ from .tensor_ops import TensorKind
 
 SCHEMA = "hyperspec/1"
 
+# one encoder for every string: ``json.dumps`` with a non-default option
+# builds a new encoder on each call
+_quote = json.JSONEncoder(ensure_ascii=False).encode
+
 
 def format_float(x: float) -> str:
     if not math.isfinite(x):
@@ -59,7 +63,7 @@ def emit_json(obj: Any, indent: int = 0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+        return _quote(obj)
     if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):

@@ -120,33 +120,25 @@ def apply(kind: TensorKind, h: Hypergraph, x: Sequence[float] | np.ndarray) -> n
     raise ValueError(f"unknown tensor kind {kind!r}")
 
 
-def adjacency_jacobian(
-    h: Hypergraph, x: Sequence[float] | np.ndarray, support: Sequence[int] | np.ndarray
-) -> np.ndarray:
-    """Dense J[a, b] = d(A x^{k-1})_{s_a} / dx_{s_b} over the edges inside S, in the
-    order s of ``support``, zero on the diagonal.
+def adjacency_jacobian(h: Hypergraph, x: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Dense J[i, l] = d(A x^{k-1})_i / dx_l, zero on the diagonal.
 
-    Each edge inside S adds, for every ordered pair (i, l) of its distinct
-    vertices, the product of its other k - 2 entries to J[i, l]; the k(k-1)
-    pairs of those edges land in the |S|*|S| cells through one ``np.bincount``.
-    At an x that is 0 off S this is the S x S block of the full Jacobian,
-    float for float: an edge leaving S adds an exact 0 to every pair in S.
+    Each edge adds, for every pair i < l of its (sorted) vertices, the product
+    of its other k - 2 entries to J[i, l] through one ``np.bincount``, and
+    J[l, i] is the same sum of the same floats, so J is its upper triangle
+    mirrored.
     """
     v = as_vector(h, x)
-    supp = np.asarray(support, dtype=np.int64)
-    k, size = h.k, supp.size
-    pos = np.full(h.n, -1)
-    pos[supp] = np.arange(size)
-    idx = h.edge_index[(pos[h.edge_index] >= 0).all(axis=1)]
-    local, cols = pos[idx], _columns(idx, v)
-    pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
-    first, second = np.array(pairs, dtype=np.int64).T
+    n, k, idx = h.n, h.k, h.edge_index
+    cols = _columns(idx, v)
+    first, second = np.triu_indices(k, 1)
     prods = np.stack(
-        [reduce(np.multiply, (cols[r] for r in range(k) if r not in p), np.ones(len(local))) for p in pairs],
+        [reduce(np.multiply, (cols[r] for r in range(k) if r not in p), np.ones(h.m)) for p in zip(first, second)],
         axis=-1,
     )
-    cells = local[:, first] * size + local[:, second]
-    return np.bincount(cells.ravel(), weights=prods.ravel(), minlength=size * size).reshape(size, size)
+    cells = idx[:, first] * n + idx[:, second]
+    upper = np.bincount(cells.ravel(), weights=prods.ravel(), minlength=n * n).reshape(n, n)
+    return upper + upper.T
 
 
 def _edge_contributions(kind: TensorKind, idx: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import hyperspec.cli as cli
+import hyperspec.report as report
 from hyperspec import Hypergraph, solve_beta
 from hyperspec.cli import main
 from hyperspec.report import SCHEMA, emit_json
@@ -94,6 +95,17 @@ def test_spectral_text_single_kind(capsys, k6_file):
     assert m and abs(float(m.group(1)) - 2.0) <= 1e-8
     assert not any(line.startswith("adjacency") for line in lines)
     assert all("[ok]" in line for line in lines[1:])
+
+
+def test_spectral_text_builds_no_structural_pairs(capsys, monkeypatch, hub_file):
+    # text mode prints no structural pairs, so it must not pay for them
+    def refuse(*args, **kwargs):
+        raise AssertionError("text mode built structural eigenpairs")
+
+    monkeypatch.setattr(report, "structural_eigenpairs", refuse)
+    code, out, _ = run(capsys, ["spectral", "--kind", "all", hub_file])
+    assert code == 0
+    assert out.startswith("adjacency radius lambda1 = ")
 
 
 def test_spectral_json_all(capsys, hub_file):
@@ -358,12 +370,13 @@ def test_out_writes_file_and_keeps_stdout_quiet(capsys, tmp_path, hub_file):
 # ---------------------------------------------------------------- recorded output
 
 
-@pytest.mark.parametrize("graph", ["hub", "k4_shuffled"])
+@pytest.mark.parametrize("graph", ["hub", "k4_shuffled", "two_parts"])
 @pytest.mark.parametrize(
     "argv", [["spectral", "--kind", "all", "--json"], ["report"]], ids=["spectral", "report"]
 )
 def test_output_is_byte_identical_to_the_recording(capsys, graph, argv):
-    # k4_shuffled has comment and blank lines and edges with shuffled ids
+    # k4_shuffled has comment and blank lines and edges with shuffled ids; two_parts
+    # has two components of unequal size, so every polish there is one of several segments
     code, out, _ = run(capsys, [*argv, str(DATA / f"{graph}.khg")])
     assert code == 0
     assert out == (DATA / f"{graph}.{argv[0]}.json").read_text()

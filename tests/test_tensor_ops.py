@@ -15,6 +15,7 @@ from hyperspec import (
     form_gradient,
 )
 
+from hyperspec.hypergraph import induced
 from hyperspec.tensor_ops import adjacency_jacobian
 
 from conftest import random_connected, single_edge
@@ -100,11 +101,17 @@ def test_column_kernels_match_small_axis_reductions(k):
                 assert np.array_equal(form(kind, h, v), small_axis_form(kind, h, v))
             for e in h.edges[:3]:
                 assert edge_form(kind, e, x) == small_axis_form(kind, single_edge(k), x[list(e)])
-        assert np.array_equal(adjacency_jacobian(h, x, range(h.n)), small_axis_jacobian(h, x))
-        # at an x that is 0 off S, the block over the edges inside S is the full one's S x S block
+        assert np.array_equal(adjacency_jacobian(h, x), small_axis_jacobian(h, x))
+        # at an x that is 0 off S, the Jacobian of the edges inside S is the full one's block on
+        # the vertices T of those edges (``induced`` needs every vertex on an edge), and the
+        # full one's S x S block is 0 elsewhere: an edge leaving S adds an exact 0
         S = np.flatnonzero(rows[1] > 0)
         xs = np.where(np.isin(np.arange(h.n), S), x, 0.0)
-        assert np.array_equal(adjacency_jacobian(h, xs, S), small_axis_jacobian(h, xs)[np.ix_(S, S)])
+        T = np.unique(h.edge_index[np.isin(h.edge_index, S).all(axis=1)])
+        full = small_axis_jacobian(h, xs)
+        assert np.array_equal(adjacency_jacobian(induced(h, T), xs[T]), full[np.ix_(T, T)])
+        off = np.setdiff1d(S, T)
+        assert not full[np.ix_(S, off)].any() and not full[np.ix_(off, S)].any()
 
 
 def test_column_kernels_at_k8_agree_within_4_ulp():
@@ -116,7 +123,7 @@ def test_column_kernels_at_k8_agree_within_4_ulp():
                 assert np.array_equal(apply(kind, h, v), small_axis_apply(kind, h, v))
                 got, want = form(kind, h, v), small_axis_form(kind, h, v)
                 assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
-        assert np.array_equal(adjacency_jacobian(h, x, range(h.n)), small_axis_jacobian(h, x))
+        assert np.array_equal(adjacency_jacobian(h, x), small_axis_jacobian(h, x))
 
 
 def test_forms_at_triangle_indicator(hub_graph):
@@ -234,7 +241,7 @@ def test_adjacency_jacobian_matches_central_differences():
             n = int(rng.integers(k + 1, 11))
             h = random_connected(rng, k, n)
             x = rng.uniform(0.3, 1.5, size=n)
-            J = adjacency_jacobian(h, x, range(n))
+            J = adjacency_jacobian(h, x)
             assert J.shape == (n, n)
             assert np.all(np.diag(J) == 0.0)
             for l in range(n):
