@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigen import BoundCheck, BoundReport, make_check, perron_rows
+from .eigen import BoundCheck, BoundReport, check_iteration_cap, make_check, perron_rows
 from .hypergraph import Hypergraph, degree_stats, is_connected
 from .tensor_ops import TensorKind, apply, form
 
@@ -43,6 +43,9 @@ class AlphaOptions:
     starts: int = 32  # echoed only: the Perron solve has no random starts
     seed: int = 0  # echoed only
     max_iter: int = 1500  # power iterations per component of each G - j
+
+    def __post_init__(self) -> None:
+        check_iteration_cap(self.max_iter)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ classified by sign structure: H++ (all entries positive), strict H+
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -36,8 +35,8 @@ VERIFY_TOL = 1e-8
 # relative slack for the degree-bound checks
 BOUND_SLACK = 1e-9
 
-# the Perron kernel's working set holds at most this many rows * m * k edge
-# entries, which bounds every (rows, m, k) array of one power step
+# the Perron kernel steps its rows in fixed chunks of at most this many
+# rows * m * k edge entries, which bounds every (rows, m, k) array of one power step
 ROW_ENTRY_CAP = 2**15
 
 # the zero-eigenvalue sign search of ``q_definiteness_probe`` is exhaustive
@@ -72,6 +71,7 @@ class PowerOptions:
 
     def __post_init__(self) -> None:
         _check_tolerance(self.tol)
+        check_iteration_cap(self.max_iter)
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,12 @@ def _check_tolerance(tol: float) -> None:
     """Reject a tolerance that is NaN, infinite or not above 0."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and above 0, got {tol!r}")
+
+
+def check_iteration_cap(max_iter: int) -> None:
+    """Reject an iteration cap that is not an integer of at least 1; numpy integers count."""
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
 
 
 def normalize_eigenvector(x: np.ndarray) -> np.ndarray:
@@ -166,23 +172,24 @@ def _ratio_bracket(
     return y, (lo - shift).reshape(x.shape), (hi - shift).reshape(x.shape)
 
 
-def _polished(
-    h: Hypergraph, x: np.ndarray, on: np.ndarray, c: np.ndarray, shift: float, lo: float, hi: float
-) -> tuple[np.ndarray, np.ndarray, float, float] | None:
-    """(x, y, lo, hi) of ``_ratio_bracket`` on the segment ``on`` of one row, at its x
-    Newton-polished on the segment's own hypergraph, or None when the polish
-    fails or does not narrow [lo, hi]."""
-    S = np.flatnonzero(on)
-    g = induced(h, S)
-    out = newton_polish(g, c[S], 0.5 * (lo + hi), x[S])
-    if out is None:
-        return None
-    xp = out[1] / out[1].max()
-    whole = np.ones((1, S.size), dtype=bool)
-    yp, plo, phi = _ratio_bracket(g, xp[None], whole, np.zeros(S.size, dtype=np.int64), c[S], shift)
-    if phi[0, 0] - plo[0, 0] >= hi - lo:
-        return None
-    return xp, yp[0], float(plo[0, 0]), float(phi[0, 0])
+def _polish(
+    h: Hypergraph, c: np.ndarray, shift: float, lab: np.ndarray, want: np.ndarray,
+    x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+) -> None:
+    """Newton-polish, on its own hypergraph, each segment [i, s] of a chunk (labels ``lab``)
+    where ``want`` holds; its ``_ratio_bracket`` state x, y, lo, hi takes the polished
+    one in place when the polish succeeds and narrows [lo, hi]."""
+    for i, s in zip(*np.nonzero(want)):
+        S = np.flatnonzero(lab[i] == s)
+        g = induced(h, S)
+        out = newton_polish(g, c[S], 0.5 * (lo[i, s] + hi[i, s]), x[i, S])
+        if out is None:
+            continue
+        xp = out[1] / out[1].max()
+        whole = np.ones((1, S.size), dtype=bool)
+        yp, plo, phi = _ratio_bracket(g, xp[None], whole, np.zeros(S.size, dtype=np.int64), c[S], shift)
+        if phi[0, 0] - plo[0, 0] < hi[i, s] - lo[i, s]:
+            x[i, S], y[i, S], lo[i, s], hi[i, s] = xp, yp[0], plo[0, 0], phi[0, 0]
 
 
 def perron_rows(
@@ -216,54 +223,46 @@ def perron_rows(
     first at most POLISH_GAP wide, or else after the iteration, if hi > lo
     (a loose ``tol`` or a small ``max_iter``), which leaves ``converged`` as
     it was.  The bracket at the polished vector replaces the power
-    iterate's when it is narrower.  A row is live while any of its segments
-    is; at most ROW_ENTRY_CAP // (m k) rows are, stepped by one (rows, n)
-    ``apply``, and a reduction over segments is one ``ufunc.at``.
+    iterate's when it is narrower.  Rows run in fixed chunks of ROW_ENTRY_CAP
+    // (m k), each stepped by one (rows, n) ``apply`` until none of its
+    segments is going; a reduction over segments is one ``ufunc.at``.
     """
     k, n = h.k, h.n
     capacity = max(1, ROW_ENTRY_CAP // (h.m * k))
-    chunks = range(0, removed.size, capacity)
-    label = np.vstack([component_labels(h, removed[first : first + capacity]) for first in chunks])
     member = np.arange(n) != removed[:, None]
     shift = float(h.degree_vector.max() + 1.0)
     x = member.astype(np.float64)
-    # the segment labelled s in row r keeps its bracket, steps and polish at [r, s]
-    lo, hi = np.full(x.shape, np.inf), np.full(x.shape, -np.inf)
+    # the segment labelled s in row r keeps its bracket, steps and outcome at [r, s]
+    label = np.empty(x.shape, dtype=np.int64)
+    lo, hi, converged = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape, dtype=bool)
     iterations = np.zeros(x.shape, dtype=np.int64)
-    polished = np.zeros(x.shape, dtype=bool)
     floor = (1e-300) ** (1.0 / (k - 1))  # keeps x^{k-1} above underflow
-    pending = iter(range(removed.size))
-    live = np.fromiter(itertools.islice(pending, capacity), dtype=np.int64)
-    while live.size:
-        # live row i keeps its own state, and its segment labelled s at cell i*n + s
-        lab, inside, xl, steps, tried = label[live], member[live], x[live], iterations[live], polished[live]
-        cell = lab + np.arange(live.size)[:, None] * n
-        busy = np.ones(live.size, dtype=bool)
-        while busy.all():  # until a row stops
-            y, slo, shi = _ratio_bracket(h, xl, inside, cell[inside], c, shift)
+    for first in range(0, removed.size, capacity):
+        r = slice(first, first + capacity)
+        label[r] = lab = component_labels(h, removed[r])
+        inside, xr, steps = member[r], x[r], iterations[r]
+        # chunk row i keeps its segment labelled s at cell i*n + s
+        cell = lab + np.arange(lab.shape[0])[:, None] * n
+        cells = cell[inside]
+        tried = np.zeros(xr.shape, dtype=bool)
+        while True:
+            y, slo, shi = _ratio_bracket(h, xr, inside, cells, c, shift)
             gap = shi - slo
-            for i, s in zip(*np.nonzero((gap > tol) & (gap <= POLISH_GAP) & ~tried)):
-                on, tried[i, s] = lab[i] == s, True
-                better = _polished(h, xl[i], on, c, shift, slo[i, s], shi[i, s])
-                if better is not None:
-                    xl[i, on], y[i, on], slo[i, s], shi[i, s] = better
+            want = (gap > tol) & (gap <= POLISH_GAP) & ~tried
+            tried |= want
+            _polish(h, c, shift, lab, want, xr, y, slo, shi)
             going = (shi - slo > tol) & (steps < max_iter)
-            busy = going.any(axis=1)
+            if not going.any():
+                break
             step = y ** (1.0 / (k - 1))
-            top = np.zeros(xl.size)
+            top = np.zeros(xr.size)
             np.maximum.at(top, cell, step)
             with np.errstate(invalid="ignore"):  # 0 / 0 at a removed vertex, which keeps its 0
-                xl = np.where(going.ravel()[cell], np.maximum(step / top[cell], floor), xl)
+                xr[...] = np.where(going.ravel()[cell], np.maximum(step / top[cell], floor), xr)
             steps += going
-        x[live], iterations[live], polished[live], lo[live], hi[live] = xl, steps, tried, slo, shi
-        fresh = np.fromiter(itertools.islice(pending, capacity - int(busy.sum())), dtype=np.int64)
-        live = np.concatenate([live[busy], fresh])
-    converged = hi - lo <= tol
-    for r, s in zip(*np.nonzero(~polished & (hi > lo))):
-        on = label[r] == s
-        better = _polished(h, x[r], on, c, shift, lo[r, s], hi[r, s])
-        if better is not None:
-            x[r, on], _, lo[r, s], hi[r, s] = better
+        converged[r] = shi - slo <= tol
+        _polish(h, c, shift, lab, ~tried & (shi > slo), xr, y, slo, shi)
+        lo[r], hi[r] = slo, shi
     at = np.arange(removed.size)[:, None], label  # every vertex's segment
     return PerronRows(label, np.where(member, lo[at], -np.inf), hi[at], x, iterations[at], converged[at])
 

@@ -10,6 +10,7 @@ import pytest
 from hyperspec import (
     AlphaOptions,
     Hypergraph,
+    PowerOptions,
     TensorKind,
     analytic_connectivity,
     apply,
@@ -281,7 +282,13 @@ def test_batched_solver_matches_recorded_per_pin_values(name, request):
 
 def _alpha_floats(h: Hypergraph) -> tuple:
     cert = analytic_connectivity(h, FAST)
-    return cert.per_vertex_values, cert.minimizer.tolist(), cert.converged
+    return (
+        cert.per_vertex_values,
+        cert.per_vertex_lower_bounds,
+        cert.lower_bound,
+        cert.minimizer.tolist(),
+        cert.converged,
+    )
 
 
 def _radius_floats(h: Hypergraph) -> list:
@@ -293,6 +300,7 @@ def _radius_floats(h: Hypergraph) -> list:
     "name, rows, solve",
     [
         pytest.param("hub_graph", 2, _alpha_floats, id="hub_graph-2"),
+        pytest.param("hub_graph", 3, _alpha_floats, id="hub_graph-3"),
         pytest.param("union", 1, _alpha_floats, id="union-1"),
         pytest.param("union", 3, _alpha_floats, id="union-3"),
         pytest.param("union", 1, _radius_floats, id="union-1-radius"),
@@ -302,8 +310,9 @@ def _radius_floats(h: Hypergraph) -> list:
     ],
 )
 def test_working_set_capacity_does_not_change_the_answer(name, rows, solve, request, monkeypatch):
-    # one live row (and one labelled pin) at a time, or a few that force
-    # refills, gives the same floats as the full working set
+    # chunks of one row, or of a few rows that need not divide the row count
+    # (hub_graph-3 runs chunks of 3, 3 and 2 pins), give the same floats and
+    # brackets as one chunk that holds every row
     h = golden_graph(request, name)
     want = solve(h)
     monkeypatch.setattr(eigen, "ROW_ENTRY_CAP", rows * h.m * h.k)
@@ -373,6 +382,17 @@ def test_single_edge_cuts():
     cn = cut_numbers(h)
     assert cn.edge_connectivity == 1
     assert cn.max_cut == 1
+
+
+@pytest.mark.parametrize("options", [PowerOptions, AlphaOptions])
+def test_options_take_only_an_integer_iteration_cap_of_at_least_one(options):
+    # a cap below 1 would run no power step and still polish, and 2.5 would
+    # run 3 steps; numpy integers, as from an array, are integers
+    for bad in (0, -5, 2.5, True, "3", None):
+        with pytest.raises(ValueError, match="max_iter"):
+            options(max_iter=bad)
+    for good in (1, 7, np.int64(3), np.int32(1)):
+        assert options(max_iter=good).max_iter == good
 
 
 def test_brute_force_caps_at_twenty_vertices():
