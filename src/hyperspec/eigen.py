@@ -22,8 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .hypergraph import Hypergraph, component_labels, degree_stats, induced, label_groups
-from .tensor_ops import TensorKind, adjacency_jacobian, apply, as_vector
+from .hypergraph import Hypergraph, component_labels, degree_stats, label_groups
+from .tensor_ops import TensorKind, adjacency_jacobian, adjacency_products, apply, as_vector
 
 # entries within this of zero (after sup-norm scaling) count as zero; entries
 # below its negation count as negative
@@ -164,7 +164,7 @@ def _ratio_bracket(
     entries, else 0; lo and hi, shaped like x, hold in each cell the least and largest
     y_i / x_i^{k-1} of the members ``cells`` sends there, less the shift (else inf, -inf)."""
     xkm1 = x ** (h.k - 1)
-    y = np.where(member, apply(TensorKind.ADJACENCY, h, x) + (c + shift) * xkm1, 0.0)
+    y = np.where(member, adjacency_products(h, x) + (c + shift) * xkm1, 0.0)
     ratios = y[member] / xkm1[member]
     lo, hi = np.full(x.size, np.inf), np.full(x.size, -np.inf)
     np.minimum.at(lo, cells, ratios)
@@ -176,20 +176,39 @@ def _polish(
     h: Hypergraph, c: np.ndarray, shift: float, lab: np.ndarray, want: np.ndarray,
     x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 ) -> None:
-    """Newton-polish, on its own hypergraph, each segment [i, s] of a chunk (labels ``lab``)
-    where ``want`` holds; its ``_ratio_bracket`` state x, y, lo, hi takes the polished
-    one in place when the polish succeeds and narrows [lo, hi]."""
-    for i, s in zip(*np.nonzero(want)):
-        S = np.flatnonzero(lab[i] == s)
-        g = induced(h, S)
-        out = newton_polish(g, c[S], 0.5 * (lo[i, s] + hi[i, s]), x[i, S])
-        if out is None:
-            continue
-        xp = out[1] / out[1].max()
-        whole = np.ones((1, S.size), dtype=bool)
-        yp, plo, phi = _ratio_bracket(g, xp[None], whole, np.zeros(S.size, dtype=np.int64), c[S], shift)
-        if phi[0, 0] - plo[0, 0] < hi[i, s] - lo[i, s]:
-            x[i, S], y[i, S], lo[i, s], hi[i, s] = xp, yp[0], plo[0, 0], phi[0, 0]
+    """Newton-polish together every segment [i, s] of a chunk (labels ``lab``) where
+    ``want`` holds, from the midpoint of its bracket; its ``_ratio_bracket`` state x, y,
+    lo, hi takes the polished one in place when the polish succeeds and narrows [lo, hi].
+
+    The polish runs on the chunk's rows that hold a wanted segment, with every
+    other vertex, the removed one included, at 0: an edge that meets a
+    segment lies inside it or holds the removed vertex, so each segment's
+    floats are those of a polish on its own hypergraph.
+    """
+    n = h.n
+    rows = np.flatnonzero(want.any(axis=1))
+    if rows.size == 0:
+        return
+    cell = lab[rows] + np.arange(rows.size)[:, None] * n  # each vertex's segment, as a cell
+    member = want[rows].ravel()[cell]
+    entries = np.flatnonzero(member)
+    entries = entries[np.argsort(cell.ravel()[entries], kind="stable")]
+    segs = cell.ravel()[entries]
+    starts = np.flatnonzero(np.diff(segs, prepend=-1))
+    segs = segs[starts]
+    slo, shi = lo[rows].ravel()[segs], hi[rows].ravel()[segs]
+    ok, _, xe = _newton(h, c, x[rows], entries, starts, 0.5 * (slo + shi))
+    seg = np.repeat(np.arange(starts.size), np.diff(starts, append=entries.size))
+    xp = np.zeros(member.shape)
+    xp.ravel()[entries] = xe / np.maximum.reduceat(xe, starts)[seg]
+    yp, plo, phi = _ratio_bracket(h, xp, member, cell[member], c, shift)
+    plo, phi = plo.ravel()[segs], phi.ravel()[segs]
+    better = ok & (phi - plo < shi - slo)
+    i, s = rows[segs[better] // n], segs[better] % n
+    lo[i, s], hi[i, s] = plo[better], phi[better]
+    at = entries[better[seg]]
+    i, v = rows[at // n], at % n
+    x[i, v], y[i, v] = xp.ravel()[at], yp.ravel()[at]
 
 
 def perron_rows(
@@ -244,14 +263,20 @@ def perron_rows(
         # chunk row i keeps its segment labelled s at cell i*n + s
         cell = lab + np.arange(lab.shape[0])[:, None] * n
         cells = cell[inside]
-        tried = np.zeros(xr.shape, dtype=bool)
+        tried, frozen = np.zeros(xr.shape, dtype=bool), np.zeros(xr.shape, dtype=bool)
         while True:
             y, slo, shi = _ratio_bracket(h, xr, inside, cells, c, shift)
             gap = shi - slo
-            want = (gap > tol) & (gap <= POLISH_GAP) & ~tried
-            tried |= want
-            _polish(h, c, shift, lab, want, xr, y, slo, shi)
-            going = (shi - slo > tol) & (steps < max_iter)
+            fresh = (gap > tol) & (gap <= POLISH_GAP) & ~tried
+            tried |= fresh
+            frozen |= fresh
+            going = (gap > tol) & (steps < max_iter) & ~frozen
+            if not going.any() and frozen.any():
+                # a frozen segment's floats depend on its own x alone, so
+                # polishing it now gives what polishing it on freezing gave
+                _polish(h, c, shift, lab, frozen, xr, y, slo, shi)
+                frozen[...] = False
+                going = (shi - slo > tol) & (steps < max_iter)
             if not going.any():
                 break
             step = y ** (1.0 / (k - 1))
@@ -318,38 +343,99 @@ def newton_polish(h: Hypergraph, c: np.ndarray, lam: float, x: np.ndarray) -> tu
     the previous step, and returns that iterate.  Returns None when the
     start is not positive at the pivot, a solve fails, or a step leaves the
     positive cone or stops being finite.  The caller decides whether the
-    result improves on its input.
+    result improves on its input.  This is the one-segment call of the
+    batched polish that ``perron_rows`` runs.
     """
-    k = h.k
-    c = np.broadcast_to(np.asarray(c, dtype=np.float64), (h.n,))
     x = as_vector(h, x)
-    p = int(np.argmax(x))
-    if not x[p] > 0.0:
-        return None
-    x = x / x[p]
-    last = math.inf
+    c = np.broadcast_to(np.asarray(c, dtype=np.float64), (h.n,))
+    ok, lam, x = _newton(h, c, x, np.arange(h.n), np.zeros(1, dtype=np.int64), np.array([lam], dtype=np.float64))
+    return (float(lam[0]), x) if ok[0] else None
+
+
+def _newton(
+    h: Hypergraph, c: np.ndarray, x: np.ndarray, entries: np.ndarray, starts: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``newton_polish`` for many segments of a vector or (B, n) stack x at once.
+
+    ``entries`` lists flat indices into x, segment after segment and
+    ascending within each; segment j begins at ``entries[starts[j]]`` and
+    starts from lam[j].  Every edge that meets a segment must lie inside it
+    or hold a vertex of no segment, which is kept at 0, so no segment's
+    floats depend on another's.  Each Newton step is one ``apply``-kernel
+    call for every residual, and one stacked Jacobian and one
+    ``np.linalg.solve`` per stack of at most ROW_ENTRY_CAP // z^2 segments of
+    equal size z; a stack whose solve fails is solved matrix by matrix, and
+    only the singular ones fail.  Returns, per segment, whether it succeeded
+    and its lam, and its vector's values at ``entries`` (the start's, scaled,
+    where it failed).
+    """
+    k, n = h.k, h.n
+    size = np.diff(starts, append=entries.size)
+    seg = np.repeat(np.arange(starts.size), size)  # each entry's segment
+    local = np.arange(entries.size) - starts[seg]  # and its place in the segment
+    ce = c[entries % n]
+    xe = x.ravel()[entries]
+    top = np.maximum.reduceat(xe, starts)
+    pivot = np.minimum.reduceat(np.where(xe == top[seg], np.arange(entries.size), entries.size), starts)
+    ok = top > 0.0
+    xe = start = xe / np.where(ok, top, 1.0)[seg]
+    # the edges inside the segments as rows of entries, ordered by segment size (the
+    # stacking order), then segment, then edge, which is each Jacobian's own edge order
+    where = np.full(x.size, -1)
+    where[entries] = np.arange(entries.size)
+    ends = where.reshape(-1, n)[:, h.edge_index]
+    ends = ends[(ends >= 0).all(axis=2)]
+    by_size = np.argsort(size, kind="stable")
+    rank = np.empty_like(by_size)
+    rank[by_size] = np.arange(by_size.size)
+    ends = ends[np.argsort(rank[seg[ends[:, 0]]], kind="stable")]
+    owner = seg[ends[:, 0]]
+    count = np.bincount(owner, minlength=starts.size)
+    flat = np.zeros(x.size)
+    active, last = ok.copy(), np.full(starts.size, np.inf)
     for _ in range(20):
-        xkm1 = x ** (k - 1)
-        F = apply(TensorKind.ADJACENCY, h, x) + (c - lam) * xkm1
-        size = float(np.abs(F).max())
+        flat[entries] = xe
+        xkm1 = xe ** (k - 1)
+        F = adjacency_products(h, flat.reshape(x.shape)).ravel()[entries] + (ce - lam[seg]) * xkm1
+        defect = np.maximum.reduceat(np.abs(F), starts)
         # no longer falling once small: the defect is at its rounding floor;
         # far from the root Newton may rise before it falls
-        if size < 1e-14 or (size >= last and size <= 1e-10):
+        active &= ~((defect < 1e-14) | ((defect >= last) & (defect <= 1e-10)))
+        if not active.any():
             break
-        last = size
-        J = adjacency_jacobian(h, x)
-        J[np.diag_indices_from(J)] += (c - lam) * ((k - 1) * x ** (k - 2))
-        J[:, p] = -xkm1  # x_p is fixed, so its column solves for lam
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            return None
-        lam += float(delta[p])
-        delta[p] = 0.0
-        x += delta
-        if not (np.all(np.isfinite(x)) and math.isfinite(lam) and np.all(x > 0.0)):
-            return None
-    return lam, x
+        last = np.where(active, defect, last)
+        diagonal = (ce - lam[seg]) * ((k - 1) * xe ** (k - 2))
+        delta = np.zeros(entries.size)
+        todo = by_size[active[by_size]]
+        sizes = size[todo]
+        rows = ends[active[owner]]
+        while todo.size:
+            z = int(sizes[0])
+            cut = min(max(1, ROW_ENTRY_CAP // z**2), int(np.searchsorted(sizes, z, side="right")))
+            ids, todo, sizes = todo[:cut], todo[cut:], sizes[cut:]
+            span = count[ids]
+            these, rows = np.split(rows, [span.sum()])
+            J = adjacency_jacobian(local[these], xe[these], np.repeat(np.arange(cut), span), cut, z)
+            at = (starts[ids][:, None] + np.arange(z)).ravel()
+            J[:, np.arange(z), np.arange(z)] += diagonal[at].reshape(cut, z)
+            J[np.arange(cut), :, local[pivot[ids]]] = -xkm1[at].reshape(cut, z)  # x_p is fixed, so its column solves for lam
+            rhs = -F[at].reshape(cut, z, 1)
+            try:
+                delta[at] = np.linalg.solve(J, rhs).ravel()
+            except np.linalg.LinAlgError:
+                for j, Jj, bj in zip(ids, J, rhs):
+                    try:
+                        delta[starts[j] : starts[j] + z] = np.linalg.solve(Jj, bj).ravel()
+                    except np.linalg.LinAlgError:
+                        active[j] = ok[j] = False
+        lam = np.where(active, lam + delta[pivot], lam)
+        delta[pivot] = 0.0
+        xe = xe + delta
+        fine = np.logical_and.reduceat(np.isfinite(xe) & (xe > 0.0), starts) & np.isfinite(lam)
+        ok &= fine | ~active
+        active &= fine
+        xe = np.where(ok[seg], xe, start)
+    return ok, lam, xe
 
 
 def structural_eigenpairs(

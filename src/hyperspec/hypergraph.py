@@ -300,18 +300,6 @@ def cut(h: Hypergraph, subset: Iterable[int]) -> CutInfo:
     )
 
 
-def induced(h: Hypergraph, vertices: np.ndarray) -> Hypergraph:
-    """The edges of h inside the ascending ``vertices``, renumbered in that order, so
-    each keeps its place and its sorted columns; h itself when ``vertices``
-    covers every vertex.  Every vertex must lie on one of those edges."""
-    if vertices.size == h.n:
-        return h
-    pos = np.full(h.n, -1)
-    pos[vertices] = np.arange(vertices.size)
-    local = pos[h.edge_index]
-    return _build(h.k, vertices.size, local[(local >= 0).all(axis=1)], base=0)
-
-
 def disjoint_union(a: Hypergraph, b: Hypergraph) -> Hypergraph:
     """Disjoint union; vertices of ``b`` are shifted up by ``a.n``."""
     if a.k != b.k:

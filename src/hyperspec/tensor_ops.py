@@ -98,18 +98,27 @@ def _leave_one_out_products(cols: np.ndarray) -> np.ndarray:
     return np.stack([suf[0], *(pre[i] * suf[i] for i in range(1, k - 1)), pre[k - 1]], axis=-1)
 
 
+def adjacency_products(h: Hypergraph, v: np.ndarray) -> np.ndarray:
+    """A x^{k-1} at a finite float64 vector or (B, n) stack of rows, unchecked.
+
+    The kernel behind ``apply``, for the solvers' own rows, whose shape and
+    finiteness they keep themselves.
+    """
+    idx = h.edge_index
+    loo = _leave_one_out_products(_columns(idx, v))
+    cells = idx.ravel()
+    if v.ndim == 2:
+        cells = (np.arange(v.shape[0])[:, None] * h.n + cells).ravel()
+    return np.bincount(cells, weights=loo.ravel(), minlength=v.size).reshape(v.shape)
+
+
 def apply(kind: TensorKind, h: Hypergraph, x: Sequence[float] | np.ndarray) -> np.ndarray:
     """Evaluate T x^{k-1} for T in {A, L, Q} without forming the tensor.
 
     ``x`` is one vector or a (B, n) stack of rows; the result has its shape.
     """
     v = _as_rows(h, x)
-    idx = h.edge_index
-    loo = _leave_one_out_products(_columns(idx, v))
-    cells = idx.ravel()
-    if v.ndim == 2:
-        cells = (np.arange(v.shape[0])[:, None] * h.n + cells).ravel()
-    a = np.bincount(cells, weights=loo.ravel(), minlength=v.size).reshape(v.shape)
+    a = adjacency_products(h, v)
     if kind is TensorKind.ADJACENCY:
         return a
     dxk = h.degree_vector * v ** (h.k - 1)
@@ -120,25 +129,28 @@ def apply(kind: TensorKind, h: Hypergraph, x: Sequence[float] | np.ndarray) -> n
     raise ValueError(f"unknown tensor kind {kind!r}")
 
 
-def adjacency_jacobian(h: Hypergraph, x: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Dense J[i, l] = d(A x^{k-1})_i / dx_l, zero on the diagonal.
+def adjacency_jacobian(
+    local: np.ndarray, values: np.ndarray, matrix: np.ndarray, count: int, size: int
+) -> np.ndarray:
+    """A (count, size, size) stack of dense J[i, l] = d(A x^{k-1})_i / dx_l, zero on the diagonal.
 
-    Each edge adds, for every pair i < l of its (sorted) vertices, the product
-    of its other k - 2 entries to J[i, l] through one ``np.bincount``, and
-    J[l, i] is the same sum of the same floats, so J is its upper triangle
-    mirrored.
+    Row e of ``local`` holds the sorted vertices of an edge, numbered within
+    its matrix ``matrix[e]``, and row e of ``values`` holds x at them.  Each
+    edge adds, for every pair i < l of its vertices, the product of its other
+    k - 2 entries to J[i, l] through one ``np.bincount`` in edge-major order,
+    so each cell sums its terms in the order of the rows; J[l, i] is the same
+    sum of the same floats, so each J is its upper triangle mirrored.
     """
-    v = as_vector(h, x)
-    n, k, idx = h.n, h.k, h.edge_index
-    cols = _columns(idx, v)
-    first, second = np.triu_indices(k, 1)
-    prods = np.stack(
-        [reduce(np.multiply, (cols[r] for r in range(k) if r not in p), np.ones(h.m)) for p in zip(first, second)],
-        axis=-1,
-    )
-    cells = idx[:, first] * n + idx[:, second]
-    upper = np.bincount(cells.ravel(), weights=prods.ravel(), minlength=n * n).reshape(n, n)
-    return upper + upper.T
+    k = local.shape[1]
+    pairs = [(i, l) for i in range(k) for l in range(i + 1, k)]
+    prods = np.empty((len(local), len(pairs)))
+    for j, pair in enumerate(pairs):
+        prods[:, j] = reduce(np.multiply, (values[:, r] for r in range(k) if r not in pair), np.ones(len(local)))
+    first, second = np.array(pairs).T
+    cells = (matrix[:, None] * size + local[:, first]) * size + local[:, second]
+    upper = np.bincount(cells.ravel(), weights=prods.ravel(), minlength=count * size * size)
+    upper = upper.reshape(count, size, size)
+    return upper + upper.transpose(0, 2, 1)
 
 
 def _edge_contributions(kind: TensorKind, idx: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -63,6 +63,23 @@ def random_connected(rng: np.random.Generator, k: int, n: int, max_extra: int = 
     return Hypergraph.from_edges(k, n, sorted(edges))
 
 
+def induced(h: Hypergraph, vertices: np.ndarray) -> Hypergraph:
+    """The edges of h inside the ascending ``vertices``, renumbered in that order, so
+    each keeps its place and its sorted columns; h itself when ``vertices``
+    covers every vertex.  Every vertex must lie on one of those edges, which
+    is not checked, so ``vertices`` may also be empty.  The
+    Newton finish once ran on this subgraph of each segment, and is checked
+    against that here."""
+    if vertices.size == h.n:
+        return h
+    pos = np.full(h.n, -1)
+    pos[vertices] = np.arange(vertices.size)
+    rows = pos[h.edge_index]
+    rows = rows[(rows >= 0).all(axis=1)]
+    degrees = np.bincount(rows.ravel(), minlength=vertices.size).astype(np.float64)
+    return Hypergraph(k=h.k, n=vertices.size, edge_index=rows, degree_vector=degrees)
+
+
 def write_khg(path, h: Hypergraph) -> str:
     """Serialize a hypergraph to the 1-based text format and return the path."""
     lines = [f"{h.k} {h.n} {h.m}"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,9 @@ from hyperspec import (
 
 from hyperspec import eigen
 from hyperspec.eigen import newton_polish
-from hyperspec.hypergraph import induced
+from hyperspec.hypergraph import component_labels
 
-from conftest import random_connected, single_edge
+from conftest import induced, random_connected, single_edge
 
 # Frozen anchors for the hub graph, obtained from the Collatz-Wielandt
 # bracket of the shifted power iteration (width < 1e-10) and confirmed
@@ -232,15 +234,16 @@ def test_nonconvergence_is_reported_not_raised(hub_graph):
 
 
 def test_a_failed_polish_is_not_retried(hub_graph, monkeypatch):
-    # with every Newton finish failing, the power iteration alone closes the
-    # brackets, and each row is polished at most once
+    # with every Newton solve failing, the power iteration alone closes the
+    # brackets, and each segment is polished at most once
     calls = []
 
-    def failing_polish(h, c, lam, x):
-        calls.append(lam)
-        return None
+    def failing_solve(a, b):
+        if a.ndim == 3:  # a stack: count its segments; a failed stack is retried matrix by matrix
+            calls.extend([None] * len(a))
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(eigen, "newton_polish", failing_polish)
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
     opts = PowerOptions()
     anchors = {
         TensorKind.ADJACENCY: HUB_ADJ_RADIUS,
@@ -253,6 +256,109 @@ def test_a_failed_polish_is_not_retried(hub_graph, monkeypatch):
         assert all(c.bracket[1] - c.bracket[0] <= opts.tol for c in res.components)
         assert res.value == pytest.approx(anchor, abs=1e-9)
         assert 1 <= len(calls) <= len(res.components)
+
+
+def per_segment_polish(h, c, shift, lab, want, x, y, lo, hi):
+    """The Newton finish as it ran before it was batched: ``newton_polish`` on each
+    wanted segment's own hypergraph, one segment after another."""
+    for i, s in zip(*np.nonzero(want)):
+        S = np.flatnonzero(lab[i] == s)
+        g = induced(h, S)
+        out = newton_polish(g, c[S], 0.5 * (lo[i, s] + hi[i, s]), x[i, S])
+        if out is None:
+            continue
+        xp = out[1] / out[1].max()
+        whole = np.ones((1, S.size), dtype=bool)
+        yp, plo, phi = eigen._ratio_bracket(g, xp[None], whole, np.zeros(S.size, dtype=np.int64), c[S], shift)
+        if phi[0, 0] - plo[0, 0] < hi[i, s] - lo[i, s]:
+            x[i, S], y[i, S], lo[i, s], hi[i, s] = xp, yp[0], plo[0, 0], phi[0, 0]
+
+
+def finish_cases(hub_graph):
+    """(name, h, removed, c, x): chunk rows with perturbed Perron vectors as starts."""
+    rng = np.random.default_rng(17)
+    for k, sizes in ((3, (5, 7, 7, 9)), (4, (6, 8, 8))):
+        u = reduce(disjoint_union, (random_connected(rng, k, n) for n in sizes))
+        for c in (np.zeros(u.n), u.degree_vector):
+            yield f"k{k}-union", u, np.array([-1]), c
+    yield "hub-alpha-rows", hub_graph, np.arange(hub_graph.n), -hub_graph.degree_vector
+
+
+def chunk_state(h, removed, c, x):
+    lab = component_labels(h, removed)
+    member = np.arange(h.n) != removed[:, None]
+    cells = (lab + np.arange(removed.size)[:, None] * h.n)[member]
+    shift = float(h.degree_vector.max() + 1.0)
+    return (lab, shift, *eigen._ratio_bracket(h, x, member, cells, c, shift))
+
+
+def test_batched_finish_matches_the_per_segment_polish(hub_graph):
+    rng = np.random.default_rng(5)
+    for name, h, removed, c in finish_cases(hub_graph):
+        rows = eigen.perron_rows(h, removed, c, 1e-2, 100_000)
+        x = rows.vectors * (1.0 + 1e-2 * rng.random(rows.vectors.shape))
+        lab, shift, y, lo, hi = chunk_state(h, removed, c, x)
+        want = hi > lo
+        got = [a.copy() for a in (x, y, lo, hi)]
+        eigen._polish(h, c, shift, lab, want, *got)
+        per_segment_polish(h, c, shift, lab, want, x, y, lo, hi)
+        for a, b in zip(got, (x, y, lo, hi)):
+            assert np.array_equal(a, b), name
+        assert (hi - lo)[want].max() <= 1e-10, name
+
+
+def test_a_singular_segment_fails_alone(hub_graph, monkeypatch):
+    # from the all-ones start at lam = 8 the Q Jacobian of the hub graph is
+    # singular; a second copy of the graph starts near its Perron pair, so
+    # both share one stack of equal-size matrices
+    u = reduce(disjoint_union, (hub_graph, hub_graph, random_connected(np.random.default_rng(3), 3, 6)))
+    c, removed = u.degree_vector, np.array([-1])
+    x = eigen.perron_rows(u, removed, c, 1e-2, 100_000).vectors
+    x[0, :8] = 1.0
+    lab, shift, y, lo, hi = chunk_state(u, removed, c, x)
+    lo[0, 0], hi[0, 0] = 7.0, 9.0
+    want = hi > lo
+    raised, solve = [], np.linalg.solve
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            raised.append(a.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    got = [a.copy() for a in (x, y, lo, hi)]
+    eigen._polish(u, c, shift, lab, want, *got)
+    assert raised[:2] == [(2, 8, 8), (8, 8)]  # the stack, then the singular matrix alone
+    per_segment_polish(u, c, shift, lab, want, x, y, lo, hi)
+    for a, b in zip(got, (x, y, lo, hi)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got[0][0, :8], np.ones(8)) and (got[2][0, 0], got[3][0, 0]) == (7.0, 9.0)
+    assert got[3][0, 8] - got[2][0, 8] <= 1e-10 and got[3][0, 16] - got[2][0, 16] <= 1e-10
+
+
+@pytest.mark.parametrize("kind", [TensorKind.ADJACENCY, TensorKind.SIGNLESS_LAPLACIAN])
+def test_the_finish_solves_equal_segments_in_bounded_stacks(kind, monkeypatch):
+    part = random_connected(np.random.default_rng(11), 3, 16)
+    n, copies = part.n, 200
+    edges = [tuple(v + j * n for v in e) for j in range(copies) for e in part.edges]
+    u = Hypergraph.from_edges(3, copies * n, edges)
+    stacks, solve = [], np.linalg.solve
+
+    def spy(a, b):
+        stacks.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    res = spectral_radius(kind, u)
+    one = spectral_radius(kind, part).components[0]
+    assert all(c.bracket == one.bracket for c in res.components)
+    # 200 segments of 16 vertices fill stacks of ROW_ENTRY_CAP // 16**2 = 128 and 72
+    per_stack = eigen.ROW_ENTRY_CAP // n**2
+    assert max(s[0] for s in stacks) == per_stack
+    assert all(np.prod(s) <= eigen.ROW_ENTRY_CAP for s in stacks)
+    assert len(stacks) <= 20 * -(-copies // per_stack) < copies
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,9 @@ from hyperspec import (
     form_gradient,
 )
 
-from hyperspec.hypergraph import induced
 from hyperspec.tensor_ops import adjacency_jacobian
 
-from conftest import random_connected, single_edge
+from conftest import induced, random_connected, single_edge
 
 ALL_KINDS = (TensorKind.ADJACENCY, TensorKind.LAPLACIAN, TensorKind.SIGNLESS_LAPLACIAN)
 
@@ -79,6 +78,11 @@ def small_axis_jacobian(h: Hypergraph, x: np.ndarray) -> np.ndarray:
     return np.bincount(cells.ravel(), weights=prods.ravel(), minlength=n * n).reshape(n, n)
 
 
+def jacobian(h: Hypergraph, x: np.ndarray) -> np.ndarray:
+    """``adjacency_jacobian`` of all of h as a stack of one matrix."""
+    return adjacency_jacobian(h.edge_index, x[h.edge_index], np.zeros(h.m, dtype=np.int64), 1, h.n)[0]
+
+
 def column_kernel_cases(k: int, seed: int):
     """Seeded graphs with one vector and a (4, n) stack, holding exact zeros and 1e-9 entries."""
     rng = np.random.default_rng(seed)
@@ -101,7 +105,11 @@ def test_column_kernels_match_small_axis_reductions(k):
                 assert np.array_equal(form(kind, h, v), small_axis_form(kind, h, v))
             for e in h.edges[:3]:
                 assert edge_form(kind, e, x) == small_axis_form(kind, single_edge(k), x[list(e)])
-        assert np.array_equal(adjacency_jacobian(h, x), small_axis_jacobian(h, x))
+        assert np.array_equal(jacobian(h, x), small_axis_jacobian(h, x))
+        # a stack of the four rows' Jacobians holds each row's own floats
+        idx, m = h.edge_index, h.m
+        stack = adjacency_jacobian(np.tile(idx, (4, 1)), rows[:, idx].reshape(-1, k), np.repeat(np.arange(4), m), 4, h.n)
+        assert np.array_equal(stack, [small_axis_jacobian(h, row) for row in rows])
         # at an x that is 0 off S, the Jacobian of the edges inside S is the full one's block on
         # the vertices T of those edges (``induced`` needs every vertex on an edge), and the
         # full one's S x S block is 0 elsewhere: an edge leaving S adds an exact 0
@@ -109,7 +117,7 @@ def test_column_kernels_match_small_axis_reductions(k):
         xs = np.where(np.isin(np.arange(h.n), S), x, 0.0)
         T = np.unique(h.edge_index[np.isin(h.edge_index, S).all(axis=1)])
         full = small_axis_jacobian(h, xs)
-        assert np.array_equal(adjacency_jacobian(induced(h, T), xs[T]), full[np.ix_(T, T)])
+        assert np.array_equal(jacobian(induced(h, T), xs[T]), full[np.ix_(T, T)])
         off = np.setdiff1d(S, T)
         assert not full[np.ix_(S, off)].any() and not full[np.ix_(off, S)].any()
 
@@ -123,7 +131,7 @@ def test_column_kernels_at_k8_agree_within_4_ulp():
                 assert np.array_equal(apply(kind, h, v), small_axis_apply(kind, h, v))
                 got, want = form(kind, h, v), small_axis_form(kind, h, v)
                 assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
-        assert np.array_equal(adjacency_jacobian(h, x), small_axis_jacobian(h, x))
+        assert np.array_equal(jacobian(h, x), small_axis_jacobian(h, x))
 
 
 def test_forms_at_triangle_indicator(hub_graph):
@@ -241,7 +249,7 @@ def test_adjacency_jacobian_matches_central_differences():
             n = int(rng.integers(k + 1, 11))
             h = random_connected(rng, k, n)
             x = rng.uniform(0.3, 1.5, size=n)
-            J = adjacency_jacobian(h, x)
+            J = jacobian(h, x)
             assert J.shape == (n, n)
             assert np.all(np.diag(J) == 0.0)
             for l in range(n):
