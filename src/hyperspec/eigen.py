@@ -5,7 +5,9 @@
 on it, nonnegative after a diagonal shift.  So the per-component radii
 here and the per-pin slice minima of the analytic connectivity in
 ``connectivity`` run through the same shifted power iteration and the same
-Newton finish, ``newton_polish``, applied once per segment.
+Newton finish, applied once per segment and to every segment of a chunk
+of rows that waits for it at once; ``newton_polish`` is its one-segment
+call.
 
 An H-eigenpair of an order-k tensor T is a pair (lambda, x != 0) with
 T x^{k-1} = lambda * x^{[k-1]} componentwise.  Eigenvectors here are
@@ -36,14 +38,17 @@ VERIFY_TOL = 1e-8
 BOUND_SLACK = 1e-9
 
 # the Perron kernel steps its rows in fixed chunks of at most this many
-# rows * m * k edge entries, which bounds every (rows, m, k) array of one power step
+# rows * m * k edge entries, which bounds every (rows, m, k) array of one power
+# step, and its Newton finish solves stacks of at most this many Jacobian
+# entries (or one Jacobian, if larger)
 ROW_ENTRY_CAP = 2**15
 
 # the zero-eigenvalue sign search of ``q_definiteness_probe`` is exhaustive
 # up to this many vertices
 MAX_DEFINITENESS_N = 24
 
-# a Perron row is Newton-polished once, the first time its bracket is this narrow
+# a Perron segment stops stepping to be Newton-polished, once, the first time
+# its bracket is this narrow
 POLISH_GAP = 1e-3
 
 
@@ -157,18 +162,29 @@ def verify_eigenpair(
     return EigenPair(value=float(value), vector=v, residual=residual, classification=cls)
 
 
+def _plan(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, starts, at): the stable order that sorts ``cells``, where each run of
+    equal cells starts in it, and that run's cell; a reduction over the cells is
+    then one ``reduceat``, and min and max are exact in any order."""
+    order = np.argsort(cells, kind="stable")
+    ordered = cells[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    return order, starts, ordered[starts]
+
+
 def _ratio_bracket(
-    h: Hypergraph, x: np.ndarray, member: np.ndarray, cells: np.ndarray, c: np.ndarray, shift: float
+    h: Hypergraph, x: np.ndarray, member: np.ndarray, plan: tuple, c: np.ndarray, shift: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(y, lo, hi) at a (rows, n) x: y = A x^{k-1} + (c + shift) x^{[k-1]} on the ``member``
     entries, else 0; lo and hi, shaped like x, hold in each cell the least and largest
-    y_i / x_i^{k-1} of the members ``cells`` sends there, less the shift (else inf, -inf)."""
+    y_i / x_i^{k-1} of the members ``_plan`` sends there, less the shift (else inf, -inf)."""
+    order, starts, at = plan
     xkm1 = x ** (h.k - 1)
     y = np.where(member, adjacency_products(h, x) + (c + shift) * xkm1, 0.0)
-    ratios = y[member] / xkm1[member]
+    ratios = (y[member] / xkm1[member])[order]
     lo, hi = np.full(x.size, np.inf), np.full(x.size, -np.inf)
-    np.minimum.at(lo, cells, ratios)
-    np.maximum.at(hi, cells, ratios)
+    lo[at] = np.minimum.reduceat(ratios, starts)
+    hi[at] = np.maximum.reduceat(ratios, starts)
     return y, (lo - shift).reshape(x.shape), (hi - shift).reshape(x.shape)
 
 
@@ -191,17 +207,14 @@ def _polish(
         return
     cell = lab[rows] + np.arange(rows.size)[:, None] * n  # each vertex's segment, as a cell
     member = want[rows].ravel()[cell]
-    entries = np.flatnonzero(member)
-    entries = entries[np.argsort(cell.ravel()[entries], kind="stable")]
-    segs = cell.ravel()[entries]
-    starts = np.flatnonzero(np.diff(segs, prepend=-1))
-    segs = segs[starts]
+    plan = order, starts, segs = _plan(cell[member])
+    entries = np.flatnonzero(member)[order]
     slo, shi = lo[rows].ravel()[segs], hi[rows].ravel()[segs]
     ok, _, xe = _newton(h, c, x[rows], entries, starts, 0.5 * (slo + shi))
     seg = np.repeat(np.arange(starts.size), np.diff(starts, append=entries.size))
     xp = np.zeros(member.shape)
     xp.ravel()[entries] = xe / np.maximum.reduceat(xe, starts)[seg]
-    yp, plo, phi = _ratio_bracket(h, xp, member, cell[member], c, shift)
+    yp, plo, phi = _ratio_bracket(h, xp, member, plan, c, shift)
     plo, phi = plo.ravel()[segs], phi.ravel()[segs]
     better = ok & (phi - plo < shi - slo)
     i, s = rows[segs[better] // n], segs[better] % n
@@ -238,13 +251,19 @@ def perron_rows(
     root (Collatz-Wielandt).  A segment stops when its bracket is at most
     ``tol`` wide (converged) or after ``max_iter`` power steps, and keeps
     its x from then on; ``iterations`` counts the steps, not the bracket at
-    the start.  Each segment is Newton-polished once: when its bracket is
-    first at most POLISH_GAP wide, or else after the iteration, if hi > lo
-    (a loose ``tol`` or a small ``max_iter``), which leaves ``converged`` as
-    it was.  The bracket at the polished vector replaces the power
-    iterate's when it is narrower.  Rows run in fixed chunks of ROW_ENTRY_CAP
-    // (m k), each stepped by one (rows, n) ``apply`` until none of its
-    segments is going; a reduction over segments is one ``ufunc.at``.
+    the start.  Each segment is Newton-polished once.  When its bracket is
+    first at most POLISH_GAP wide it is frozen: it takes no more steps, and
+    once no segment of the chunk is going, one ``_polish`` finishes every
+    frozen segment together; one whose polish fails goes on stepping.  A
+    segment that stops unpolished (a loose ``tol`` or a small ``max_iter``)
+    is polished, if hi > lo, in one more ``_polish`` at the end of the
+    chunk, which leaves ``converged`` as it was.  The bracket at the
+    polished vector replaces the power iterate's when it is narrower.  A
+    frozen segment's floats depend on its own x alone, so the polish gives
+    the floats it gave when it ran on freezing.  Rows run in fixed chunks of
+    ROW_ENTRY_CAP // (m k), each stepped by one (rows, n) ``apply`` until
+    none of its segments is going; a reduction over segments is one
+    ``reduceat`` in an order sorted once per chunk.
     """
     k, n = h.k, h.n
     capacity = max(1, ROW_ENTRY_CAP // (h.m * k))
@@ -262,10 +281,10 @@ def perron_rows(
         inside, xr, steps = member[r], x[r], iterations[r]
         # chunk row i keeps its segment labelled s at cell i*n + s
         cell = lab + np.arange(lab.shape[0])[:, None] * n
-        cells = cell[inside]
+        plan = order, starts, segs = _plan(cell[inside])
         tried, frozen = np.zeros(xr.shape, dtype=bool), np.zeros(xr.shape, dtype=bool)
         while True:
-            y, slo, shi = _ratio_bracket(h, xr, inside, cells, c, shift)
+            y, slo, shi = _ratio_bracket(h, xr, inside, plan, c, shift)
             gap = shi - slo
             fresh = (gap > tol) & (gap <= POLISH_GAP) & ~tried
             tried |= fresh
@@ -281,7 +300,7 @@ def perron_rows(
                 break
             step = y ** (1.0 / (k - 1))
             top = np.zeros(xr.size)
-            np.maximum.at(top, cell, step)
+            top[segs] = np.maximum.reduceat(step[inside][order], starts)
             with np.errstate(invalid="ignore"):  # 0 / 0 at a removed vertex, which keeps its 0
                 xr[...] = np.where(going.ravel()[cell], np.maximum(step / top[cell], floor), xr)
             steps += going

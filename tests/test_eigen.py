@@ -269,7 +269,8 @@ def per_segment_polish(h, c, shift, lab, want, x, y, lo, hi):
             continue
         xp = out[1] / out[1].max()
         whole = np.ones((1, S.size), dtype=bool)
-        yp, plo, phi = eigen._ratio_bracket(g, xp[None], whole, np.zeros(S.size, dtype=np.int64), c[S], shift)
+        plan = eigen._plan(np.zeros(S.size, dtype=np.int64))
+        yp, plo, phi = eigen._ratio_bracket(g, xp[None], whole, plan, c[S], shift)
         if phi[0, 0] - plo[0, 0] < hi[i, s] - lo[i, s]:
             x[i, S], y[i, S], lo[i, s], hi[i, s] = xp, yp[0], plo[0, 0], phi[0, 0]
 
@@ -287,9 +288,9 @@ def finish_cases(hub_graph):
 def chunk_state(h, removed, c, x):
     lab = component_labels(h, removed)
     member = np.arange(h.n) != removed[:, None]
-    cells = (lab + np.arange(removed.size)[:, None] * h.n)[member]
+    plan = eigen._plan((lab + np.arange(removed.size)[:, None] * h.n)[member])
     shift = float(h.degree_vector.max() + 1.0)
-    return (lab, shift, *eigen._ratio_bracket(h, x, member, cells, c, shift))
+    return (lab, shift, *eigen._ratio_bracket(h, x, member, plan, c, shift))
 
 
 def test_batched_finish_matches_the_per_segment_polish(hub_graph):
