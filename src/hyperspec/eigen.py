@@ -367,7 +367,8 @@ def newton_polish(h: Hypergraph, c: np.ndarray, lam: float, x: np.ndarray) -> tu
     """
     x = as_vector(h, x)
     c = np.broadcast_to(np.asarray(c, dtype=np.float64), (h.n,))
-    ok, lam, x = _newton(h, c, x, np.arange(h.n), np.zeros(1, dtype=np.int64), np.array([lam], dtype=np.float64))
+    one = np.zeros(1, dtype=np.int64)
+    ok, lam, x = _newton(h, c, x, np.arange(h.n), one, np.array([lam], dtype=np.float64))
     return (float(lam[0]), x) if ok[0] else None
 
 
@@ -400,9 +401,9 @@ def _newton(
     xe = start = xe / np.where(ok, top, 1.0)[seg]
     # the edges inside the segments as rows of entries, ordered by segment size (the
     # stacking order), then segment, then edge, which is each Jacobian's own edge order
-    where = np.full(x.size, -1)
-    where[entries] = np.arange(entries.size)
-    ends = where.reshape(-1, n)[:, h.edge_index]
+    entry = np.full(x.size, -1)
+    entry[entries] = np.arange(entries.size)
+    ends = entry.reshape(-1, n)[:, h.edge_index]
     ends = ends[(ends >= 0).all(axis=2)]
     by_size = np.argsort(size, kind="stable")
     rank = np.empty_like(by_size)
@@ -437,7 +438,8 @@ def _newton(
             J = adjacency_jacobian(local[these], xe[these], np.repeat(np.arange(cut), span), cut, z)
             at = (starts[ids][:, None] + np.arange(z)).ravel()
             J[:, np.arange(z), np.arange(z)] += diagonal[at].reshape(cut, z)
-            J[np.arange(cut), :, local[pivot[ids]]] = -xkm1[at].reshape(cut, z)  # x_p is fixed, so its column solves for lam
+            # x_p is fixed, so its column solves for lam
+            J[np.arange(cut), :, local[pivot[ids]]] = -xkm1[at].reshape(cut, z)
             rhs = -F[at].reshape(cut, z, 1)
             try:
                 delta[at] = np.linalg.solve(J, rhs).ravel()

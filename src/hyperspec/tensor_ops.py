@@ -132,7 +132,7 @@ def apply(kind: TensorKind, h: Hypergraph, x: Sequence[float] | np.ndarray) -> n
 def adjacency_jacobian(
     local: np.ndarray, values: np.ndarray, matrix: np.ndarray, count: int, size: int
 ) -> np.ndarray:
-    """A (count, size, size) stack of dense J[i, l] = d(A x^{k-1})_i / dx_l, zero on the diagonal.
+    """A (count, size, size) stack of dense J[i, l] = d(A x^{k-1})_i / dx_l, 0 on the diagonal.
 
     Row e of ``local`` holds the sorted vertices of an edge, numbered within
     its matrix ``matrix[e]``, and row e of ``values`` holds x at them.  Each
@@ -145,7 +145,8 @@ def adjacency_jacobian(
     pairs = [(i, l) for i in range(k) for l in range(i + 1, k)]
     prods = np.empty((len(local), len(pairs)))
     for j, pair in enumerate(pairs):
-        prods[:, j] = reduce(np.multiply, (values[:, r] for r in range(k) if r not in pair), np.ones(len(local)))
+        others = (values[:, r] for r in range(k) if r not in pair)
+        prods[:, j] = reduce(np.multiply, others, np.ones(len(local)))
     first, second = np.array(pairs).T
     cells = (matrix[:, None] * size + local[:, first]) * size + local[:, second]
     upper = np.bincount(cells.ravel(), weights=prods.ravel(), minlength=count * size * size)

@@ -108,7 +108,8 @@ def test_column_kernels_match_small_axis_reductions(k):
         assert np.array_equal(jacobian(h, x), small_axis_jacobian(h, x))
         # a stack of the four rows' Jacobians holds each row's own floats
         idx, m = h.edge_index, h.m
-        stack = adjacency_jacobian(np.tile(idx, (4, 1)), rows[:, idx].reshape(-1, k), np.repeat(np.arange(4), m), 4, h.n)
+        matrix = np.repeat(np.arange(4), m)
+        stack = adjacency_jacobian(np.tile(idx, (4, 1)), rows[:, idx].reshape(-1, k), matrix, 4, h.n)
         assert np.array_equal(stack, [small_axis_jacobian(h, row) for row in rows])
         # at an x that is 0 off S, the Jacobian of the edges inside S is the full one's block on
         # the vertices T of those edges (``induced`` needs every vertex on an edge), and the
