@@ -405,12 +405,11 @@ def _newton(
     entry[entries] = np.arange(entries.size)
     ends = entry.reshape(-1, n)[:, h.edge_index]
     ends = ends[(ends >= 0).all(axis=2)]
-    by_size = np.argsort(size, kind="stable")
-    rank = np.empty_like(by_size)
-    rank[by_size] = np.arange(by_size.size)
-    ends = ends[np.argsort(rank[seg[ends[:, 0]]], kind="stable")]
     owner = seg[ends[:, 0]]
+    order = np.lexsort((owner, size[owner]))  # stable, so each segment keeps its edge order
+    ends, owner = ends[order], owner[order]
     count = np.bincount(owner, minlength=starts.size)
+    by_size = np.argsort(size, kind="stable")
     flat = np.zeros(x.size)
     active, last = ok.copy(), np.full(starts.size, np.inf)
     for _ in range(20):

@@ -276,12 +276,17 @@ def per_segment_polish(h, c, shift, lab, want, x, y, lo, hi):
 
 
 def finish_cases(hub_graph):
-    """(name, h, removed, c, x): chunk rows with perturbed Perron vectors as starts."""
+    """(name, h, removed, c): unions with components of mixed and equal sizes, one of
+    them relabelled at random with its edges shuffled, so that equal-size segments
+    interleave in vertex and edge order, and the alpha rows of the hub graph."""
     rng = np.random.default_rng(17)
     for k, sizes in ((3, (5, 7, 7, 9)), (4, (6, 8, 8))):
         u = reduce(disjoint_union, (random_connected(rng, k, n) for n in sizes))
-        for c in (np.zeros(u.n), u.degree_vector):
-            yield f"k{k}-union", u, np.array([-1]), c
+        relabel = rng.permutation(u.n)
+        edges = [sorted(int(relabel[v]) for v in e) for e in rng.permutation(u.edge_index)]
+        for name, g in ((f"k{k}-union", u), (f"k{k}-shuffled-union", Hypergraph.from_edges(k, u.n, edges))):
+            for c in (np.zeros(g.n), g.degree_vector):
+                yield name, g, np.array([-1]), c
     yield "hub-alpha-rows", hub_graph, np.arange(hub_graph.n), -hub_graph.degree_vector
 
 
