@@ -104,14 +104,19 @@ def analytic_connectivity(
     opts = opts or AlphaOptions()
     n, k = h.n, h.k
     rows = perron_rows(h, np.arange(n), -h.degree_vector, BRACKET_TOL, opts.max_iter)
-    # G - j keeps n - 1 >= 1 vertices, and the pin's own -inf never wins; of
-    # tied segments, the first vertex to reach the largest root is the least label
-    best = rows.label[np.arange(n), np.argmax(0.5 * (rows.lo + rows.hi), axis=1)]
-    x = np.where(rows.label == best[:, None], rows.vectors, 0.0)
+    size = np.diff(rows.starts, append=rows.entries.size)
+    seg = np.arange(size.size)
+    pin = rows.entries[rows.starts] // n
+    runs = np.flatnonzero(np.diff(pin, prepend=-1))  # G - j keeps n - 1 >= 1 vertices
+    mid = 0.5 * (rows.lo + rows.hi)
+    # of a pin's tied segments the first, of least label, wins
+    best = np.minimum.reduceat(np.where(mid == np.maximum.reduceat(mid, runs)[pin], seg, seg.size), runs)
+    x = rows.vectors  # each pin's best segment, 0 elsewhere
+    x.flat[rows.entries[np.repeat(~np.isin(seg, best), size)]] = 0.0
     # the form is >= 0 on the slice (AM-GM per edge); dips below are rounding
     values = np.maximum(form(TensorKind.LAPLACIAN, h, x) / (x**k).sum(axis=1), 0.0)
     # a lower bound may drop to the value it bounds where rounding lifts it past
-    lower = np.clip(-rows.hi.max(axis=1), 0.0, values)
+    lower = np.clip(-np.maximum.reduceat(rows.hi, runs), 0.0, values)
     # ties resolve to the lowest vertex id
     pinned = int(np.flatnonzero(values <= values.min() + TIE_TOL)[0])
     minimizer = x[pinned] / float((x[pinned] ** k).sum()) ** (1.0 / k)

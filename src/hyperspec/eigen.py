@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hypergraph import Hypergraph, component_labels, degree_stats, label_groups
+from .hypergraph import Hypergraph, component_labels, degree_stats, sorted_runs
 from .tensor_ops import TensorKind, adjacency_jacobian, adjacency_products, apply, as_vector
 
 # entries within this of zero (after sup-norm scaling) count as zero; entries
@@ -96,14 +96,21 @@ class ComponentRadius:
 
 @dataclass(frozen=True)
 class PerronRows:
-    """Outcome of ``perron_rows``: in each row, every vertex holds its segment's values."""
+    """Outcome of ``perron_rows``, one value per segment but for ``vectors``.
 
-    label: np.ndarray  # (rows, n): the smallest vertex of the segment; a removed vertex's own id
-    lo: np.ndarray  # Collatz-Wielandt bracket [lo, hi] of the segment's root, -inf at a removed vertex
+    The segments come row after row, and by label within a row; segment j
+    holds the flat indices ``entries[starts[j]:starts[j + 1]]`` (row * n +
+    vertex, ascending) of ``vectors``, so ``np.split(entries, starts[1:])``
+    lists them.  Every row holds at least one segment.
+    """
+
+    entries: np.ndarray
+    starts: np.ndarray
+    lo: np.ndarray  # Collatz-Wielandt bracket [lo, hi] of the segment's root
     hi: np.ndarray
-    vectors: np.ndarray  # each segment at sup-norm 1, 0 at a removed vertex
     iterations: np.ndarray  # power steps run
     converged: np.ndarray  # the bracket closed to within tol in max_iter power steps
+    vectors: np.ndarray  # (rows, n): each segment at sup-norm 1, 0 at a removed vertex
 
 
 @dataclass(frozen=True)
@@ -162,66 +169,47 @@ def verify_eigenpair(
     return EigenPair(value=float(value), vector=v, residual=residual, classification=cls)
 
 
-def _plan(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, starts, at): the stable order that sorts ``cells``, where each run of
-    equal cells starts in it, and that run's cell; a reduction over the cells is
-    then one ``reduceat``, and min and max are exact in any order."""
-    order = np.argsort(cells, kind="stable")
-    ordered = cells[order]
-    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-    return order, starts, ordered[starts]
-
-
 def _ratio_bracket(
-    h: Hypergraph, x: np.ndarray, member: np.ndarray, plan: tuple, c: np.ndarray, shift: float
+    h: Hypergraph, x: np.ndarray, entries: np.ndarray, starts: np.ndarray, c: np.ndarray, shift: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(y, lo, hi) at a (rows, n) x: y = A x^{k-1} + (c + shift) x^{[k-1]} on the ``member``
-    entries, else 0; lo and hi, shaped like x, hold in each cell the least and largest
-    y_i / x_i^{k-1} of the members ``_plan`` sends there, less the shift (else inf, -inf)."""
-    order, starts, at = plan
+    """(y, lo, hi) at a (rows, n) x whose segments are ``entries`` split at ``starts``:
+    y = A x^{k-1} + (c + shift) x^{[k-1]} at the entries, and per segment the least
+    and largest y_i / x_i^{k-1} over its entries, less the shift."""
     xkm1 = x ** (h.k - 1)
-    y = np.where(member, adjacency_products(h, x) + (c + shift) * xkm1, 0.0)
-    ratios = (y[member] / xkm1[member])[order]
-    lo, hi = np.full(x.size, np.inf), np.full(x.size, -np.inf)
-    lo[at] = np.minimum.reduceat(ratios, starts)
-    hi[at] = np.maximum.reduceat(ratios, starts)
-    return y, (lo - shift).reshape(x.shape), (hi - shift).reshape(x.shape)
+    y = (adjacency_products(h, x) + (c + shift) * xkm1).take(entries)
+    ratios = y / xkm1.take(entries)
+    return y, np.minimum.reduceat(ratios, starts) - shift, np.maximum.reduceat(ratios, starts) - shift
 
 
 def _polish(
-    h: Hypergraph, c: np.ndarray, shift: float, lab: np.ndarray, want: np.ndarray,
-    x: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    h: Hypergraph, c: np.ndarray, shift: float, entries: np.ndarray, starts: np.ndarray,
+    want: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 ) -> None:
-    """Newton-polish together every segment [i, s] of a chunk (labels ``lab``) where
-    ``want`` holds, from the midpoint of its bracket; its ``_ratio_bracket`` state x, y,
-    lo, hi takes the polished one in place when the polish succeeds and narrows [lo, hi].
+    """Newton-polish together every segment of a (rows, n) x where ``want`` holds,
+    from the midpoint of its bracket [lo, hi]; the segment's x, lo and hi take the
+    polished ones in place when the polish succeeds and narrows its bracket.
 
-    The polish runs on the chunk's rows that hold a wanted segment, with every
-    other vertex, the removed one included, at 0: an edge that meets a
-    segment lies inside it or holds the removed vertex, so each segment's
-    floats are those of a polish on its own hypergraph.
+    Every vertex outside the wanted segments, a removed one included, counts
+    as 0: an edge that meets a segment lies inside it or holds the removed
+    vertex, so each segment's floats are those of a polish on its own
+    hypergraph.
     """
-    n = h.n
-    rows = np.flatnonzero(want.any(axis=1))
-    if rows.size == 0:
+    size = np.diff(starts, append=entries.size)
+    at = entries[np.repeat(want, size)]
+    if at.size == 0:
         return
-    cell = lab[rows] + np.arange(rows.size)[:, None] * n  # each vertex's segment, as a cell
-    member = want[rows].ravel()[cell]
-    plan = order, starts, segs = _plan(cell[member])
-    entries = np.flatnonzero(member)[order]
-    slo, shi = lo[rows].ravel()[segs], hi[rows].ravel()[segs]
-    ok, _, xe = _newton(h, c, x[rows], entries, starts, 0.5 * (slo + shi))
-    seg = np.repeat(np.arange(starts.size), np.diff(starts, append=entries.size))
-    xp = np.zeros(member.shape)
-    xp.ravel()[entries] = xe / np.maximum.reduceat(xe, starts)[seg]
-    yp, plo, phi = _ratio_bracket(h, xp, member, plan, c, shift)
-    plo, phi = plo.ravel()[segs], phi.ravel()[segs]
-    better = ok & (phi - plo < shi - slo)
-    i, s = rows[segs[better] // n], segs[better] % n
-    lo[i, s], hi[i, s] = plo[better], phi[better]
-    at = entries[better[seg]]
-    i, v = rows[at // n], at % n
-    x[i, v], y[i, v] = xp.ravel()[at], yp.ravel()[at]
+    size = size[want]
+    sub = np.cumsum(size) - size  # where each wanted segment begins in at
+    ok, _, xe = _newton(h, c, x, at, sub, 0.5 * (lo[want] + hi[want]))
+    seg = np.repeat(np.arange(sub.size), size)
+    xe = xe / np.maximum.reduceat(xe, sub)[seg]
+    xp = np.zeros(x.shape)
+    xp.flat[at] = xe
+    _, plo, phi = _ratio_bracket(h, xp, at, sub, c, shift)
+    better = ok & (phi - plo < hi[want] - lo[want])
+    i = np.flatnonzero(want)[better]
+    lo[i], hi[i] = plo[better], phi[better]
+    x.flat[at[better[seg]]] = xe[better[seg]]
 
 
 def perron_rows(
@@ -262,30 +250,31 @@ def perron_rows(
     frozen segment's floats depend on its own x alone, so the polish gives
     the floats it gave when it ran on freezing.  Rows run in fixed chunks of
     ROW_ENTRY_CAP // (m k), each stepped by one (rows, n) ``apply`` until
-    none of its segments is going; a reduction over segments is one
-    ``reduceat`` in an order sorted once per chunk.
+    none of its segments is going.  A chunk is planned once, as the
+    ``PerronRows`` segment table: a reduction over its segments is one
+    ``reduceat``, and its steps, brackets and outcomes are one value per
+    segment.
     """
     k, n = h.k, h.n
     capacity = max(1, ROW_ENTRY_CAP // (h.m * k))
     member = np.arange(n) != removed[:, None]
     shift = float(h.degree_vector.max() + 1.0)
     x = member.astype(np.float64)
-    # the segment labelled s in row r keeps its bracket, steps and outcome at [r, s]
-    label = np.empty(x.shape, dtype=np.int64)
-    lo, hi, converged = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape, dtype=bool)
-    iterations = np.zeros(x.shape, dtype=np.int64)
     floor = (1e-300) ** (1.0 / (k - 1))  # keeps x^{k-1} above underflow
+    chunks, planned = [], 0
     for first in range(0, removed.size, capacity):
         r = slice(first, first + capacity)
-        label[r] = lab = component_labels(h, removed[r])
-        inside, xr, steps = member[r], x[r], iterations[r]
+        xr = x[r]
         # chunk row i keeps its segment labelled s at cell i*n + s
-        cell = lab + np.arange(lab.shape[0])[:, None] * n
-        plan = order, starts, segs = _plan(cell[inside])
-        tried, frozen = np.zeros(xr.shape, dtype=bool), np.zeros(xr.shape, dtype=bool)
+        cells = component_labels(h, removed[r]) + np.arange(xr.shape[0])[:, None] * n
+        order, starts = sorted_runs(cells[member[r]])
+        entries = np.flatnonzero(member[r])[order]
+        seg = np.repeat(np.arange(starts.size), np.diff(starts, append=entries.size))
+        steps = np.zeros(starts.size, dtype=np.int64)
+        tried, frozen = np.zeros(starts.size, dtype=bool), np.zeros(starts.size, dtype=bool)
         while True:
-            y, slo, shi = _ratio_bracket(h, xr, inside, plan, c, shift)
-            gap = shi - slo
+            y, lo, hi = _ratio_bracket(h, xr, entries, starts, c, shift)
+            gap = hi - lo
             fresh = (gap > tol) & (gap <= POLISH_GAP) & ~tried
             tried |= fresh
             frozen |= fresh
@@ -293,22 +282,22 @@ def perron_rows(
             if not going.any() and frozen.any():
                 # a frozen segment's floats depend on its own x alone, so
                 # polishing it now gives what polishing it on freezing gave
-                _polish(h, c, shift, lab, frozen, xr, y, slo, shi)
-                frozen[...] = False
-                going = (shi - slo > tol) & (steps < max_iter)
+                _polish(h, c, shift, entries, starts, frozen, xr, lo, hi)
+                frozen[:] = False
+                if ((hi - lo > tol) & (steps < max_iter)).any():
+                    continue  # to read y at the polished x
             if not going.any():
                 break
             step = y ** (1.0 / (k - 1))
-            top = np.zeros(xr.size)
-            top[segs] = np.maximum.reduceat(step[inside][order], starts)
-            with np.errstate(invalid="ignore"):  # 0 / 0 at a removed vertex, which keeps its 0
-                xr[...] = np.where(going.ravel()[cell], np.maximum(step / top[cell], floor), xr)
+            move = going[seg]
+            top = np.maximum.reduceat(step, starts)[seg[move]]
+            xr.flat[entries[move]] = np.maximum(step[move] / top, floor)
             steps += going
-        converged[r] = shi - slo <= tol
-        _polish(h, c, shift, lab, ~tried & (shi > slo), xr, y, slo, shi)
-        lo[r], hi[r] = slo, shi
-    at = np.arange(removed.size)[:, None], label  # every vertex's segment
-    return PerronRows(label, np.where(member, lo[at], -np.inf), hi[at], x, iterations[at], converged[at])
+        converged = hi - lo <= tol
+        _polish(h, c, shift, entries, starts, ~tried & (hi > lo), xr, lo, hi)
+        chunks.append((entries + first * n, starts + planned, lo, hi, steps, converged))
+        planned += entries.size
+    return PerronRows(*(np.concatenate(column) for column in zip(*chunks)), x)
 
 
 def spectral_radius(
@@ -329,17 +318,18 @@ def spectral_radius(
     opts = opts or PowerOptions()
     c = h.degree_vector if kind is TensorKind.SIGNLESS_LAPLACIAN else np.zeros(h.n)
     rows = perron_rows(h, np.array([-1]), c, opts.tol, opts.max_iter)
-    lo, hi = rows.lo[0], rows.hi[0]
+    # row 0's entries are its vertices
+    segments = zip(np.split(rows.entries, rows.starts[1:]), rows.lo, rows.hi, rows.iterations, rows.converged)
     results = [
         ComponentRadius(
             vertices=tuple(g.tolist()),
-            value=float(0.5 * (lo[g[0]] + hi[g[0]])),
-            bracket=(float(lo[g[0]]), float(hi[g[0]])),
-            iterations=int(rows.iterations[0, g[0]]),
-            converged=bool(rows.converged[0, g[0]]),
+            value=float(0.5 * (lo + hi)),
+            bracket=(float(lo), float(hi)),
+            iterations=int(steps),
+            converged=bool(converged),
             row=rows.vectors[0],
         )
-        for g in label_groups(rows.label[0])
+        for g, lo, hi, steps, converged in segments
     ]
     best = max(results, key=lambda r: r.value)
     return SpectralRadiusResult(

@@ -234,16 +234,19 @@ def component_labels(h: Hypergraph, removed: np.ndarray) -> np.ndarray:
         label = new
 
 
-def label_groups(label: np.ndarray) -> list[np.ndarray]:
-    """The vertices of each label in a row of ``component_labels``, ordered by label."""
-    # a stable sort keeps each group ascending, and its label is its smallest member
-    order = np.argsort(label, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+def sorted_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the stable order that sorts the nonnegative ints ``values``,
+    and where each run of equal values begins in it.  Each run keeps its
+    positions ascending, and a reduction over the runs is one ``reduceat``."""
+    order = np.argsort(values, kind="stable")
+    return order, np.flatnonzero(np.diff(values[order], prepend=-1))
 
 
 def components(h: Hypergraph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by smallest member."""
-    return [tuple(g.tolist()) for g in label_groups(component_labels(h, np.array([-1]))[0])]
+    # a component's label is its smallest member
+    order, starts = sorted_runs(component_labels(h, np.array([-1]))[0])
+    return [tuple(g.tolist()) for g in np.split(order, starts[1:])]
 
 
 def is_connected(h: Hypergraph) -> bool:

@@ -14,6 +14,7 @@ from hyperspec import (
     PowerOptions,
     TensorKind,
     bound_report,
+    components,
     degree_stats,
     disjoint_union,
     minimal_binary_eigenvectors,
@@ -25,7 +26,7 @@ from hyperspec import (
 
 from hyperspec import eigen
 from hyperspec.eigen import newton_polish
-from hyperspec.hypergraph import component_labels
+from hyperspec.hypergraph import component_labels, sorted_runs
 
 from conftest import induced, random_connected, single_edge
 
@@ -258,21 +259,49 @@ def test_a_failed_polish_is_not_retried(hub_graph, monkeypatch):
         assert 1 <= len(calls) <= len(res.components)
 
 
-def per_segment_polish(h, c, shift, lab, want, x, y, lo, hi):
+def test_perron_rows_hold_one_value_per_segment(hub_graph, two_edge_path):
+    n, copies = two_edge_path.n, 1001
+    edges = [tuple(v + n * c for v in e) for c in range(copies) for e in two_edge_path.edges]
+    union = Hypergraph.from_edges(3, n * copies, edges)
+    rows = eigen.perron_rows(union, np.array([-1]), np.zeros(union.n), 1e-10, 100_000)
+    assert rows.starts.shape == rows.lo.shape == rows.hi.shape == (copies,)
+    assert rows.iterations.shape == rows.converged.shape == (copies,)
+    assert [tuple(g.tolist()) for g in np.split(rows.entries, rows.starts[1:])] == components(union)
+    # alpha's rows: G - j for every j, its segments row after row, by label within a row
+    h = hub_graph
+    removed = np.arange(h.n)
+    rows = eigen.perron_rows(h, removed, -h.degree_vector, 1e-10, 100_000)
+    segments = np.split(rows.entries, rows.starts[1:])
+    row = rows.entries[rows.starts] // h.n
+    assert np.array_equal(np.unique(row), removed)  # every row holds a segment
+    assert np.all(np.diff(row) >= 0)
+    labels = component_labels(h, removed)
+    for r in removed:
+        mine = [g % h.n for g, i in zip(segments, row) if i == r]
+        assert [g[0] for g in mine] == sorted(set(np.delete(labels[r], r).tolist()))
+        for g in mine:
+            assert np.all(np.diff(g) > 0) and np.all(labels[r, g] == g[0])
+    assert rows.entries.shape == (h.n * (h.n - 1),)  # every vertex but the removed one
+    for name in ("starts", "lo", "hi", "iterations", "converged"):
+        assert getattr(rows, name).shape == (len(segments),), name
+    assert rows.vectors.shape == (h.n, h.n)
+
+
+def per_segment_polish(h, c, shift, entries, starts, want, x, lo, hi):
     """The Newton finish as it ran before it was batched: ``newton_polish`` on each
     wanted segment's own hypergraph, one segment after another."""
-    for i, s in zip(*np.nonzero(want)):
-        S = np.flatnonzero(lab[i] == s)
+    for s, (cells, wanted) in enumerate(zip(np.split(entries, starts[1:]), want)):
+        if not wanted:
+            continue
+        i, S = cells[0] // h.n, cells % h.n
         g = induced(h, S)
-        out = newton_polish(g, c[S], 0.5 * (lo[i, s] + hi[i, s]), x[i, S])
+        out = newton_polish(g, c[S], 0.5 * (lo[s] + hi[s]), x[i, S])
         if out is None:
             continue
         xp = out[1] / out[1].max()
-        whole = np.ones((1, S.size), dtype=bool)
-        plan = eigen._plan(np.zeros(S.size, dtype=np.int64))
-        yp, plo, phi = eigen._ratio_bracket(g, xp[None], whole, plan, c[S], shift)
-        if phi[0, 0] - plo[0, 0] < hi[i, s] - lo[i, s]:
-            x[i, S], y[i, S], lo[i, s], hi[i, s] = xp, yp[0], plo[0, 0], phi[0, 0]
+        _, plo, phi = eigen._ratio_bracket(g, xp[None], np.arange(S.size), np.zeros(1, dtype=np.int64), c[S], shift)
+        if phi[0] - plo[0] < hi[s] - lo[s]:
+            x[i, S], lo[s], hi[s] = xp, plo[0], phi[0]
 
 
 def finish_cases(hub_graph):
@@ -291,24 +320,29 @@ def finish_cases(hub_graph):
 
 
 def chunk_state(h, removed, c, x):
+    """(entries, starts, shift, lo, hi): the segments of h - removed[r] at x, as one
+    chunk, with their brackets."""
     lab = component_labels(h, removed)
     member = np.arange(h.n) != removed[:, None]
-    plan = eigen._plan((lab + np.arange(removed.size)[:, None] * h.n)[member])
+    order, starts = sorted_runs((lab + np.arange(removed.size)[:, None] * h.n)[member])
+    entries = np.flatnonzero(member)[order]
     shift = float(h.degree_vector.max() + 1.0)
-    return (lab, shift, *eigen._ratio_bracket(h, x, member, plan, c, shift))
+    _, lo, hi = eigen._ratio_bracket(h, x, entries, starts, c, shift)
+    return entries, starts, shift, lo, hi
 
 
 def test_batched_finish_matches_the_per_segment_polish(hub_graph):
+    # x, lo and hi are the polish's state; the products y follow from x
     rng = np.random.default_rng(5)
     for name, h, removed, c in finish_cases(hub_graph):
         rows = eigen.perron_rows(h, removed, c, 1e-2, 100_000)
         x = rows.vectors * (1.0 + 1e-2 * rng.random(rows.vectors.shape))
-        lab, shift, y, lo, hi = chunk_state(h, removed, c, x)
+        entries, starts, shift, lo, hi = chunk_state(h, removed, c, x)
         want = hi > lo
-        got = [a.copy() for a in (x, y, lo, hi)]
-        eigen._polish(h, c, shift, lab, want, *got)
-        per_segment_polish(h, c, shift, lab, want, x, y, lo, hi)
-        for a, b in zip(got, (x, y, lo, hi)):
+        got = [a.copy() for a in (x, lo, hi)]
+        eigen._polish(h, c, shift, entries, starts, want, *got)
+        per_segment_polish(h, c, shift, entries, starts, want, x, lo, hi)
+        for a, b in zip(got, (x, lo, hi)):
             assert np.array_equal(a, b), name
         assert (hi - lo)[want].max() <= 1e-10, name
 
@@ -321,8 +355,9 @@ def test_a_singular_segment_fails_alone(hub_graph, monkeypatch):
     c, removed = u.degree_vector, np.array([-1])
     x = eigen.perron_rows(u, removed, c, 1e-2, 100_000).vectors
     x[0, :8] = 1.0
-    lab, shift, y, lo, hi = chunk_state(u, removed, c, x)
-    lo[0, 0], hi[0, 0] = 7.0, 9.0
+    entries, starts, shift, lo, hi = chunk_state(u, removed, c, x)
+    assert starts.tolist() == [0, 8, 16]  # the segments labelled 0, 8 and 16
+    lo[0], hi[0] = 7.0, 9.0
     want = hi > lo
     raised, solve = [], np.linalg.solve
 
@@ -335,14 +370,14 @@ def test_a_singular_segment_fails_alone(hub_graph, monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", solve_or_raise)
-    got = [a.copy() for a in (x, y, lo, hi)]
-    eigen._polish(u, c, shift, lab, want, *got)
+    got = [a.copy() for a in (x, lo, hi)]
+    eigen._polish(u, c, shift, entries, starts, want, *got)
     assert raised[:2] == [(2, 8, 8), (8, 8)]  # the stack, then the singular matrix alone
-    per_segment_polish(u, c, shift, lab, want, x, y, lo, hi)
-    for a, b in zip(got, (x, y, lo, hi)):
+    per_segment_polish(u, c, shift, entries, starts, want, x, lo, hi)
+    for a, b in zip(got, (x, lo, hi)):
         assert np.array_equal(a, b)
-    assert np.array_equal(got[0][0, :8], np.ones(8)) and (got[2][0, 0], got[3][0, 0]) == (7.0, 9.0)
-    assert got[3][0, 8] - got[2][0, 8] <= 1e-10 and got[3][0, 16] - got[2][0, 16] <= 1e-10
+    assert np.array_equal(got[0][0, :8], np.ones(8)) and (got[1][0], got[2][0]) == (7.0, 9.0)
+    assert got[2][1] - got[1][1] <= 1e-10 and got[2][2] - got[1][2] <= 1e-10
 
 
 @pytest.mark.parametrize("kind", [TensorKind.ADJACENCY, TensorKind.SIGNLESS_LAPLACIAN])
