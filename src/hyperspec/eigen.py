@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .hypergraph import Hypergraph, component_labels, degree_stats, sorted_runs
+from .hypergraph import Hypergraph, component_labels, degree_stats, row_edges, sorted_runs
 from .tensor_ops import TensorKind, adjacency_jacobian, adjacency_products, apply, as_vector
 
 # entries within this of zero (after sup-norm scaling) count as zero; entries
@@ -170,29 +170,42 @@ def verify_eigenpair(
 
 
 def _ratio_bracket(
-    h: Hypergraph, x: np.ndarray, entries: np.ndarray, starts: np.ndarray, c: np.ndarray, shift: float
+    edges: np.ndarray, x: np.ndarray, entries: np.ndarray, starts: np.ndarray, c: np.ndarray, shift: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(y, lo, hi) at a (rows, n) x whose segments are ``entries`` split at ``starts``:
-    y = A x^{k-1} + (c + shift) x^{[k-1]} at the entries, and per segment the least
-    and largest y_i / x_i^{k-1} over its entries, less the shift."""
-    xkm1 = x ** (h.k - 1)
-    y = (adjacency_products(h, x) + (c + shift) * xkm1).take(entries)
+    """(y, lo, hi) at an x whose segments are ``entries`` split at ``starts``, and
+    whose segments' edges are the rows ``edges`` of flat indices into x: y = A x^{k-1}
+    + (c + shift) x^{[k-1]} at the entries, and per segment the least and largest
+    y_i / x_i^{k-1} over its entries, less the shift."""
+    xkm1 = x ** (edges.shape[1] - 1)
+    y = (adjacency_products(edges, x) + (c + shift) * xkm1).take(entries)
     ratios = y / xkm1.take(entries)
     return y, np.minimum.reduceat(ratios, starts) - shift, np.maximum.reduceat(ratios, starts) - shift
 
 
+def _stacked_edges(edges: np.ndarray, at: np.ndarray, size: np.ndarray, cells: int) -> np.ndarray:
+    """The rows of ``edges`` inside the segments ``at`` (runs of ``size`` flat indices
+    among ``cells``), as rows of places in ``at``, in stacking order: by segment
+    size, then segment, then edge.  Every edge lies inside one segment."""
+    place = np.full(cells, -1)
+    place[at] = np.arange(at.size)
+    local = place[edges]
+    local = local[local[:, 0] >= 0]
+    owner = np.repeat(np.arange(size.size), size)[local[:, 0]]
+    return local[np.lexsort((owner, size[owner]))]  # stable, so each segment keeps its edge order
+
+
 def _polish(
-    h: Hypergraph, c: np.ndarray, shift: float, entries: np.ndarray, starts: np.ndarray,
+    edges: np.ndarray, c: np.ndarray, shift: float, entries: np.ndarray, starts: np.ndarray,
     want: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 ) -> None:
     """Newton-polish together every segment of a (rows, n) x where ``want`` holds,
     from the midpoint of its bracket [lo, hi]; the segment's x, lo and hi take the
     polished ones in place when the polish succeeds and narrows its bracket.
 
-    Every vertex outside the wanted segments, a removed one included, counts
-    as 0: an edge that meets a segment lies inside it or holds the removed
-    vertex, so each segment's floats are those of a polish on its own
-    hypergraph.
+    ``edges`` are the rows' edges as from ``row_edges``.  The wanted segments
+    are renumbered one after another, and the polish and its bracket run on
+    their own edges alone, so each segment's floats are those of a polish
+    on its own hypergraph.
     """
     size = np.diff(starts, append=entries.size)
     at = entries[np.repeat(want, size)]
@@ -200,12 +213,12 @@ def _polish(
         return
     size = size[want]
     sub = np.cumsum(size) - size  # where each wanted segment begins in at
-    ok, _, xe = _newton(h, c, x, at, sub, 0.5 * (lo[want] + hi[want]))
+    local = _stacked_edges(edges, at, size, x.size)
+    ce = c[at % x.shape[1]]
+    ok, _, xe = _newton(local, ce, x.take(at), sub, 0.5 * (lo[want] + hi[want]))
     seg = np.repeat(np.arange(sub.size), size)
     xe = xe / np.maximum.reduceat(xe, sub)[seg]
-    xp = np.zeros(x.shape)
-    xp.flat[at] = xe
-    _, plo, phi = _ratio_bracket(h, xp, at, sub, c, shift)
+    _, plo, phi = _ratio_bracket(local, xe, np.arange(at.size), sub, ce, shift)
     better = ok & (phi - plo < hi[want] - lo[want])
     i = np.flatnonzero(want)[better]
     lo[i], hi[i] = plo[better], phi[better]
@@ -223,12 +236,15 @@ def perron_rows(
 
     ``removed`` holds vertex ids, -1 for none.  Row r is h - removed[r], and
     each of its components is a segment, labelled by ``component_labels``
-    with its smallest vertex.  ``c`` is a length-n vector, at least -d.  No
-    edge joins two segments, and an edge through the removed vertex, held
-    at 0, adds an exact 0 to its other vertices, so a vertex's floats do not
-    depend on the other segments of its row.  With shift = max degree + 1,
-    shift + c is positive, which makes the block on a segment primitive.
-    Each segment then runs the shifted power iteration (NQZ)
+    with its smallest vertex.  ``c`` is a length-n vector, at least -d.
+    Each chunk's edges are listed once, by ``row_edges``, and the labels,
+    every power step and the polish read that list alone: no edge through
+    a removed vertex enters any sum, and no edge joins two segments, so a
+    vertex's floats do not depend on the other segments of its row.  (They
+    are the floats of a step over all of h with the removed vertex held at
+    0, whose edges would add only exact +0.0 terms.)  With shift = max
+    degree + 1, shift + c is positive, which makes the block on a segment
+    primitive.  Each segment then runs the shifted power iteration (NQZ)
 
         x <- (A x^{k-1} + (c + shift) x^{[k-1]})^{1/(k-1)}, at sup-norm 1 per segment
 
@@ -249,11 +265,11 @@ def perron_rows(
     polished vector replaces the power iterate's when it is narrower.  A
     frozen segment's floats depend on its own x alone, so the polish gives
     the floats it gave when it ran on freezing.  Rows run in fixed chunks of
-    ROW_ENTRY_CAP // (m k), each stepped by one (rows, n) ``apply`` until
-    none of its segments is going.  A chunk is planned once, as the
-    ``PerronRows`` segment table: a reduction over its segments is one
-    ``reduceat``, and its steps, brackets and outcomes are one value per
-    segment.
+    ROW_ENTRY_CAP // (m k), each stepped by one ``adjacency_products`` over
+    its edges until none of its segments is going.  A chunk is planned
+    once, as the ``PerronRows`` segment table: a reduction over its
+    segments is one ``reduceat``, and its steps, brackets and outcomes are
+    one value per segment.
     """
     k, n = h.k, h.n
     capacity = max(1, ROW_ENTRY_CAP // (h.m * k))
@@ -262,18 +278,21 @@ def perron_rows(
     x = member.astype(np.float64)
     floor = (1e-300) ** (1.0 / (k - 1))  # keeps x^{k-1} above underflow
     chunks, planned = [], 0
+    # each chunk writes its entries straight into the table, so that the
+    # pieces never sit in memory beside their concatenation
+    table = np.empty(int(member.sum()), dtype=np.int64)
     for first in range(0, removed.size, capacity):
         r = slice(first, first + capacity)
         xr = x[r]
+        edges = row_edges(h, removed[r])
         # chunk row i keeps its segment labelled s at cell i*n + s
-        cells = component_labels(h, removed[r]) + np.arange(xr.shape[0])[:, None] * n
-        order, starts = sorted_runs(cells[member[r]])
+        order, starts = sorted_runs(component_labels(edges, xr.size)[member[r].ravel()])
         entries = np.flatnonzero(member[r])[order]
         seg = np.repeat(np.arange(starts.size), np.diff(starts, append=entries.size))
         steps = np.zeros(starts.size, dtype=np.int64)
         tried, frozen = np.zeros(starts.size, dtype=bool), np.zeros(starts.size, dtype=bool)
         while True:
-            y, lo, hi = _ratio_bracket(h, xr, entries, starts, c, shift)
+            y, lo, hi = _ratio_bracket(edges, xr, entries, starts, c, shift)
             gap = hi - lo
             fresh = (gap > tol) & (gap <= POLISH_GAP) & ~tried
             tried |= fresh
@@ -282,7 +301,7 @@ def perron_rows(
             if not going.any() and frozen.any():
                 # a frozen segment's floats depend on its own x alone, so
                 # polishing it now gives what polishing it on freezing gave
-                _polish(h, c, shift, entries, starts, frozen, xr, lo, hi)
+                _polish(edges, c, shift, entries, starts, frozen, xr, lo, hi)
                 frozen[:] = False
                 if ((hi - lo > tol) & (steps < max_iter)).any():
                     continue  # to read y at the polished x
@@ -294,10 +313,11 @@ def perron_rows(
             xr.flat[entries[move]] = np.maximum(step[move] / top, floor)
             steps += going
         converged = hi - lo <= tol
-        _polish(h, c, shift, entries, starts, ~tried & (hi > lo), xr, lo, hi)
-        chunks.append((entries + first * n, starts + planned, lo, hi, steps, converged))
+        _polish(edges, c, shift, entries, starts, ~tried & (hi > lo), xr, lo, hi)
+        np.add(entries, first * n, out=table[planned : planned + entries.size])
+        chunks.append((starts + planned, lo, hi, steps, converged))
         planned += entries.size
-    return PerronRows(*(np.concatenate(column) for column in zip(*chunks)), x)
+    return PerronRows(table, *(np.concatenate(column) for column in zip(*chunks)), x)
 
 
 def spectral_radius(
@@ -353,59 +373,49 @@ def newton_polish(h: Hypergraph, c: np.ndarray, lam: float, x: np.ndarray) -> tu
     start is not positive at the pivot, a solve fails, or a step leaves the
     positive cone or stops being finite.  The caller decides whether the
     result improves on its input.  This is the one-segment call of the
-    batched polish that ``perron_rows`` runs.
+    batched polish that ``perron_rows`` runs, on the edges of all of h.
     """
     x = as_vector(h, x)
     c = np.broadcast_to(np.asarray(c, dtype=np.float64), (h.n,))
     one = np.zeros(1, dtype=np.int64)
-    ok, lam, x = _newton(h, c, x, np.arange(h.n), one, np.array([lam], dtype=np.float64))
+    ok, lam, x = _newton(h.edge_index, c, x, one, np.array([lam], dtype=np.float64))
     return (float(lam[0]), x) if ok[0] else None
 
 
 def _newton(
-    h: Hypergraph, c: np.ndarray, x: np.ndarray, entries: np.ndarray, starts: np.ndarray, lam: np.ndarray
+    edges: np.ndarray, c: np.ndarray, x: np.ndarray, starts: np.ndarray, lam: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``newton_polish`` for many segments of a vector or (B, n) stack x at once.
+    """``newton_polish`` for many segments at once, on their own values.
 
-    ``entries`` lists flat indices into x, segment after segment and
-    ascending within each; segment j begins at ``entries[starts[j]]`` and
-    starts from lam[j].  Every edge that meets a segment must lie inside it
-    or hold a vertex of no segment, which is kept at 0, so no segment's
-    floats depend on another's.  Each Newton step is one ``apply``-kernel
-    call for every residual, and one stacked Jacobian and one
+    x and c hold the segments' values one after another: segment j begins
+    at x[starts[j]] and starts from lam[j].  ``edges`` holds the segments'
+    edges as rows of places in x, ordered by segment size (the stacking
+    order), then segment, then edge, which is each Jacobian's own edge
+    order; no edge joins two segments, so no segment's floats depend on
+    another's.  Each Newton step is one ``adjacency_products`` call over
+    those edges for every residual, and one stacked Jacobian and one
     ``np.linalg.solve`` per stack of at most ROW_ENTRY_CAP // z^2 segments of
-    equal size z; a stack whose solve fails is solved matrix by matrix, and
-    only the singular ones fail.  Returns, per segment, whether it succeeded
-    and its lam, and its vector's values at ``entries`` (the start's, scaled,
-    where it failed).
+    equal size z, whose edges are picked by per-segment offsets; a stack
+    whose solve fails is solved matrix by matrix, and only the singular
+    ones fail.  Returns, per segment, whether it succeeded and its lam, and
+    the values of its vector (the start's, scaled, where it failed).
     """
-    k, n = h.k, h.n
-    size = np.diff(starts, append=entries.size)
-    seg = np.repeat(np.arange(starts.size), size)  # each entry's segment
-    local = np.arange(entries.size) - starts[seg]  # and its place in the segment
-    ce = c[entries % n]
-    xe = x.ravel()[entries]
-    top = np.maximum.reduceat(xe, starts)
-    pivot = np.minimum.reduceat(np.where(xe == top[seg], np.arange(entries.size), entries.size), starts)
+    k = edges.shape[1]
+    size = np.diff(starts, append=x.size)
+    seg = np.repeat(np.arange(starts.size), size)  # each value's segment
+    local = np.arange(x.size) - starts[seg]  # and its place in the segment
+    top = np.maximum.reduceat(x, starts)
+    pivot = np.minimum.reduceat(np.where(x == top[seg], np.arange(x.size), x.size), starts)
     ok = top > 0.0
-    xe = start = xe / np.where(ok, top, 1.0)[seg]
-    # the edges inside the segments as rows of entries, ordered by segment size (the
-    # stacking order), then segment, then edge, which is each Jacobian's own edge order
-    entry = np.full(x.size, -1)
-    entry[entries] = np.arange(entries.size)
-    ends = entry.reshape(-1, n)[:, h.edge_index]
-    ends = ends[(ends >= 0).all(axis=2)]
-    owner = seg[ends[:, 0]]
-    order = np.lexsort((owner, size[owner]))  # stable, so each segment keeps its edge order
-    ends, owner = ends[order], owner[order]
-    count = np.bincount(owner, minlength=starts.size)
+    xe = start = x / np.where(ok, top, 1.0)[seg]
+    count = np.bincount(seg[edges[:, 0]], minlength=starts.size)
     by_size = np.argsort(size, kind="stable")
-    flat = np.zeros(x.size)
+    first = np.empty_like(count)  # where each segment's edges begin
+    first[by_size] = np.cumsum(count[by_size]) - count[by_size]
     active, last = ok.copy(), np.full(starts.size, np.inf)
     for _ in range(20):
-        flat[entries] = xe
         xkm1 = xe ** (k - 1)
-        F = adjacency_products(h, flat.reshape(x.shape)).ravel()[entries] + (ce - lam[seg]) * xkm1
+        F = adjacency_products(edges, xe) + (c - lam[seg]) * xkm1
         defect = np.maximum.reduceat(np.abs(F), starts)
         # no longer falling once small: the defect is at its rounding floor;
         # far from the root Newton may rise before it falls
@@ -413,17 +423,16 @@ def _newton(
         if not active.any():
             break
         last = np.where(active, defect, last)
-        diagonal = (ce - lam[seg]) * ((k - 1) * xe ** (k - 2))
-        delta = np.zeros(entries.size)
+        diagonal = (c - lam[seg]) * ((k - 1) * xe ** (k - 2))
+        delta = np.zeros(x.size)
         todo = by_size[active[by_size]]
         sizes = size[todo]
-        rows = ends[active[owner]]
         while todo.size:
             z = int(sizes[0])
             cut = min(max(1, ROW_ENTRY_CAP // z**2), int(np.searchsorted(sizes, z, side="right")))
             ids, todo, sizes = todo[:cut], todo[cut:], sizes[cut:]
             span = count[ids]
-            these, rows = np.split(rows, [span.sum()])
+            these = edges[np.repeat(first[ids] - (np.cumsum(span) - span), span) + np.arange(span.sum())]
             J = adjacency_jacobian(local[these], xe[these], np.repeat(np.arange(cut), span), cut, z)
             at = (starts[ids][:, None] + np.arange(z)).ravel()
             J[:, np.arange(z), np.arange(z)] += diagonal[at].reshape(cut, z)
@@ -499,7 +508,7 @@ def minimal_binary_eigenvectors(h: Hypergraph) -> tuple[np.ndarray, ...]:
     These are exactly the component indicators; any linear combination of
     them is again an eigenvector for 0.
     """
-    label = component_labels(h, np.array([-1]))[0]
+    label = component_labels(h.edge_index, h.n)
     return tuple((np.unique(label)[:, None] == label).astype(np.float64))
 
 

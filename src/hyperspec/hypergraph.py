@@ -214,23 +214,32 @@ def degree_stats(h: Hypergraph) -> tuple[int, int, Fraction]:
     return int(d.max()), int(d.min()), Fraction(h.k * h.m, h.n)
 
 
-def component_labels(h: Hypergraph, removed: np.ndarray) -> np.ndarray:
-    """label[r, i]: the smallest vertex of i's component in h - removed[r].
+def row_edges(h: Hypergraph, removed: np.ndarray) -> np.ndarray:
+    """The edges of every h - removed[r] as rows of flat indices r * n + v, row
+    after row and in edge order within a row.
 
     h - j drops vertex j and every edge through it; j = -1 drops nothing.
-    Min-label propagation with pointer jumping, all rows at once, over the
-    (rows, m, k) edge entries; a removed vertex labels itself.
+    This is the one place where that is decided.
     """
-    n, idx = h.n, h.edge_index
-    offset = np.repeat(np.arange(removed.size) * n, n)
-    cells = (offset[::n, None, None] + idx)[(idx != removed[:, None, None]).all(axis=2)]
-    label = np.tile(np.arange(n), removed.size)
+    row, edge = np.nonzero((h.edge_index != removed[:, None, None]).all(axis=2))
+    return h.edge_index[edge] + (row * h.n)[:, None]
+
+
+def component_labels(cells: np.ndarray, size: int) -> np.ndarray:
+    """label[i]: the smallest of the ``size`` flat ids joined to i by the edges ``cells``.
+
+    Min-label propagation with pointer jumping over the (edges, k) rows of
+    ids; an id on no edge labels itself.  On ``row_edges(h, removed)`` with
+    size = rows * n, the label of r * n + i is r * n plus the smallest
+    vertex of i's component in h - removed[r].
+    """
+    label = np.arange(size)
     while True:
         new = label.copy()
         np.minimum.at(new, cells, label[cells].min(axis=1)[:, None])
-        new = new[offset + new]
+        new = new[new]
         if np.array_equal(new, label):
-            return label.reshape(removed.size, n)
+            return label
         label = new
 
 
@@ -245,7 +254,7 @@ def sorted_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def components(h: Hypergraph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by smallest member."""
     # a component's label is its smallest member
-    order, starts = sorted_runs(component_labels(h, np.array([-1]))[0])
+    order, starts = sorted_runs(component_labels(h.edge_index, h.n))
     return [tuple(g.tolist()) for g in np.split(order, starts[1:])]
 
 

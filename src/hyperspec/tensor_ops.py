@@ -16,9 +16,13 @@ and a single edge e contributes to the homogeneous form T x^k
 so every operation here costs O(m k), not O(n^k).
 
 ``apply`` and ``form`` also take a (B, n) stack of row vectors and evaluate
-every row in the same calls: ``apply`` then runs its one ``np.bincount``
-over the row-offset indices b*n + i, so row b of the result holds exactly
-the floats the 1-D call on row b would give.
+every row in the same calls.  The scatter kernel ``adjacency_products``
+takes its edges as rows of flat indices into the array it reads: ``apply``
+passes ``edge_index`` for one vector and ``hypergraph.row_edges``, edge e
+of row b at b*n + i, for a stack, so row b of the result holds exactly the
+floats the 1-D call on row b would give.  The Perron kernel in ``eigen``
+passes the edges of each row less its removed vertex, or of a few
+segments renumbered one after another.
 
 Every per-edge quantity comes from the k edge columns, contiguous (..., m)
 gathers of the entries at one edge position, by elementwise operations.
@@ -42,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, row_edges
 
 
 class TensorKind(Enum):
@@ -98,18 +102,15 @@ def _leave_one_out_products(cols: np.ndarray) -> np.ndarray:
     return np.stack([suf[0], *(pre[i] * suf[i] for i in range(1, k - 1)), pre[k - 1]], axis=-1)
 
 
-def adjacency_products(h: Hypergraph, v: np.ndarray) -> np.ndarray:
-    """A x^{k-1} at a finite float64 vector or (B, n) stack of rows, unchecked.
+def adjacency_products(cells: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A x^{k-1} over the edges ``cells`` at the finite float64 array v, unchecked.
 
-    The kernel behind ``apply``, for the solvers' own rows, whose shape and
-    finiteness they keep themselves.
+    Row e of ``cells`` holds the flat indices into v of edge e's vertices.
+    The kernel behind ``apply``, for the solvers' own rows, whose shape,
+    finiteness and edges they keep themselves.
     """
-    idx = h.edge_index
-    loo = _leave_one_out_products(_columns(idx, v))
-    cells = idx.ravel()
-    if v.ndim == 2:
-        cells = (np.arange(v.shape[0])[:, None] * h.n + cells).ravel()
-    return np.bincount(cells, weights=loo.ravel(), minlength=v.size).reshape(v.shape)
+    loo = _leave_one_out_products(v.take(cells.T))
+    return np.bincount(cells.ravel(), weights=loo.ravel(), minlength=v.size).reshape(v.shape)
 
 
 def apply(kind: TensorKind, h: Hypergraph, x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -118,7 +119,7 @@ def apply(kind: TensorKind, h: Hypergraph, x: Sequence[float] | np.ndarray) -> n
     ``x`` is one vector or a (B, n) stack of rows; the result has its shape.
     """
     v = _as_rows(h, x)
-    a = adjacency_products(h, v)
+    a = adjacency_products(h.edge_index if v.ndim == 1 else row_edges(h, np.full(len(v), -1)), v)
     if kind is TensorKind.ADJACENCY:
         return a
     dxk = h.degree_vector * v ** (h.k - 1)

@@ -26,7 +26,7 @@ from hyperspec import (
 
 from hyperspec import eigen
 from hyperspec.eigen import newton_polish
-from hyperspec.hypergraph import component_labels, sorted_runs
+from hyperspec.hypergraph import component_labels, row_edges, sorted_runs
 
 from conftest import induced, random_connected, single_edge
 
@@ -275,7 +275,8 @@ def test_perron_rows_hold_one_value_per_segment(hub_graph, two_edge_path):
     row = rows.entries[rows.starts] // h.n
     assert np.array_equal(np.unique(row), removed)  # every row holds a segment
     assert np.all(np.diff(row) >= 0)
-    labels = component_labels(h, removed)
+    labels = component_labels(row_edges(h, removed), removed.size * h.n).reshape(removed.size, h.n)
+    labels -= np.arange(removed.size)[:, None] * h.n  # row r holds r * n plus the label
     for r in removed:
         mine = [g % h.n for g, i in zip(segments, row) if i == r]
         assert [g[0] for g in mine] == sorted(set(np.delete(labels[r], r).tolist()))
@@ -299,7 +300,8 @@ def per_segment_polish(h, c, shift, entries, starts, want, x, lo, hi):
         if out is None:
             continue
         xp = out[1] / out[1].max()
-        _, plo, phi = eigen._ratio_bracket(g, xp[None], np.arange(S.size), np.zeros(1, dtype=np.int64), c[S], shift)
+        one = np.zeros(1, dtype=np.int64)
+        _, plo, phi = eigen._ratio_bracket(g.edge_index, xp, np.arange(S.size), one, c[S], shift)
         if phi[0] - plo[0] < hi[s] - lo[s]:
             x[i, S], lo[s], hi[s] = xp, plo[0], phi[0]
 
@@ -320,15 +322,15 @@ def finish_cases(hub_graph):
 
 
 def chunk_state(h, removed, c, x):
-    """(entries, starts, shift, lo, hi): the segments of h - removed[r] at x, as one
-    chunk, with their brackets."""
-    lab = component_labels(h, removed)
+    """(edges, entries, starts, shift, lo, hi): the edges and segments of h - removed[r]
+    at x, as one chunk, with their brackets."""
+    edges = row_edges(h, removed)
     member = np.arange(h.n) != removed[:, None]
-    order, starts = sorted_runs((lab + np.arange(removed.size)[:, None] * h.n)[member])
+    order, starts = sorted_runs(component_labels(edges, x.size)[member.ravel()])
     entries = np.flatnonzero(member)[order]
     shift = float(h.degree_vector.max() + 1.0)
-    _, lo, hi = eigen._ratio_bracket(h, x, entries, starts, c, shift)
-    return entries, starts, shift, lo, hi
+    _, lo, hi = eigen._ratio_bracket(edges, x, entries, starts, c, shift)
+    return edges, entries, starts, shift, lo, hi
 
 
 def test_batched_finish_matches_the_per_segment_polish(hub_graph):
@@ -337,10 +339,10 @@ def test_batched_finish_matches_the_per_segment_polish(hub_graph):
     for name, h, removed, c in finish_cases(hub_graph):
         rows = eigen.perron_rows(h, removed, c, 1e-2, 100_000)
         x = rows.vectors * (1.0 + 1e-2 * rng.random(rows.vectors.shape))
-        entries, starts, shift, lo, hi = chunk_state(h, removed, c, x)
+        edges, entries, starts, shift, lo, hi = chunk_state(h, removed, c, x)
         want = hi > lo
         got = [a.copy() for a in (x, lo, hi)]
-        eigen._polish(h, c, shift, entries, starts, want, *got)
+        eigen._polish(edges, c, shift, entries, starts, want, *got)
         per_segment_polish(h, c, shift, entries, starts, want, x, lo, hi)
         for a, b in zip(got, (x, lo, hi)):
             assert np.array_equal(a, b), name
@@ -355,7 +357,7 @@ def test_a_singular_segment_fails_alone(hub_graph, monkeypatch):
     c, removed = u.degree_vector, np.array([-1])
     x = eigen.perron_rows(u, removed, c, 1e-2, 100_000).vectors
     x[0, :8] = 1.0
-    entries, starts, shift, lo, hi = chunk_state(u, removed, c, x)
+    edges, entries, starts, shift, lo, hi = chunk_state(u, removed, c, x)
     assert starts.tolist() == [0, 8, 16]  # the segments labelled 0, 8 and 16
     lo[0], hi[0] = 7.0, 9.0
     want = hi > lo
@@ -371,7 +373,7 @@ def test_a_singular_segment_fails_alone(hub_graph, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", solve_or_raise)
     got = [a.copy() for a in (x, lo, hi)]
-    eigen._polish(u, c, shift, entries, starts, want, *got)
+    eigen._polish(edges, c, shift, entries, starts, want, *got)
     assert raised[:2] == [(2, 8, 8), (8, 8)]  # the stack, then the singular matrix alone
     per_segment_polish(u, c, shift, entries, starts, want, x, lo, hi)
     for a, b in zip(got, (x, lo, hi)):

@@ -18,7 +18,7 @@ from hyperspec import (
     parse_hypergraph,
 )
 
-from hyperspec.hypergraph import component_labels
+from hyperspec.hypergraph import component_labels, row_edges
 
 from conftest import random_connected, single_edge
 
@@ -289,7 +289,9 @@ def test_component_labels_match_union_find_reference():
         for p in parts[1:]:
             h = disjoint_union(h, p)
         removed = np.arange(-1, h.n)
-        got = component_labels(h, removed)
+        # row r holds r * n plus each vertex's label in h - removed[r]
+        got = component_labels(row_edges(h, removed), removed.size * h.n).reshape(removed.size, h.n)
+        got -= np.arange(removed.size)[:, None] * h.n
         for r, j in enumerate(removed.tolist()):
             assert got[r].tolist() == reference(h, j)
         assert components(h) == sorted({tuple(np.flatnonzero(got[0] == v).tolist()) for v in got[0]})

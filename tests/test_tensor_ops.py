@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from hyperspec import (
     form_gradient,
 )
 
-from hyperspec.tensor_ops import adjacency_jacobian
+from hyperspec.hypergraph import disjoint_union, row_edges
+from hyperspec.tensor_ops import adjacency_jacobian, adjacency_products
 
 from conftest import induced, random_connected, single_edge
 
@@ -340,6 +343,27 @@ def test_row_stacks_reject_bad_rows(hub_graph):
         form(TensorKind.LAPLACIAN, hub_graph, np.full((2, 8), np.nan))
     with pytest.raises(ValueError):
         apply(TensorKind.LAPLACIAN, hub_graph, np.ones((2, 2, 8)))
+
+
+def test_row_edges_keep_every_member_sum_bit_for_bit():
+    # an edge through the removed vertex, held at 0, adds only +0.0 to its other
+    # vertices, so the rows' own edges give every member the floats of the
+    # 1-D apply on all of h, sign of zero included
+    rng = np.random.default_rng(20)
+    for trial in range(24):
+        k = 2 + trial % 4
+        parts = [random_connected(rng, k, int(rng.integers(k, 10))) for _ in range(1 + trial % 3)]
+        h = reduce(disjoint_union, parts)
+        removed = np.arange(h.n)  # the alpha rows
+        edges = row_edges(h, removed)
+        # row after row, and in edge order within a row
+        expected = [e + r * h.n for r in removed for e in h.edge_index if r not in e]
+        assert edges.dtype == np.int64 and np.array_equal(edges, np.reshape(expected, (-1, k)))
+        member = np.arange(h.n) != removed[:, None]
+        x = np.where(member, np.exp(rng.normal(0.0, 2.0, member.shape)), 0.0)
+        got = adjacency_products(edges, x)
+        want = np.array([apply(TensorKind.ADJACENCY, h, row) for row in x])
+        assert got[member].tobytes() == want[member].tobytes()
 
 
 def test_compensated_summation_path_agrees_with_reference():
