@@ -111,12 +111,15 @@ def analytic_connectivity(
     mid = 0.5 * (rows.lo + rows.hi)
     # of a pin's tied segments the first, of least label, wins
     best = np.minimum.reduceat(np.where(mid == np.maximum.reduceat(mid, runs)[pin], seg, seg.size), runs)
-    x = rows.vectors  # each pin's best segment, 0 elsewhere
-    x.flat[rows.entries[np.repeat(~np.isin(seg, best), size)]] = 0.0
+    x = np.zeros((n, n))  # each pin's best segment, 0 elsewhere
+    keep = np.repeat(np.isin(seg, best), size)
+    x.flat[rows.entries[keep]] = rows.values[keep]
+    top, converged = np.maximum.reduceat(rows.hi, runs), bool(rows.converged.all())
+    del rows, keep  # the table is as large as x: free it before the form's temporaries
     # the form is >= 0 on the slice (AM-GM per edge); dips below are rounding
     values = np.maximum(form(TensorKind.LAPLACIAN, h, x) / (x**k).sum(axis=1), 0.0)
     # a lower bound may drop to the value it bounds where rounding lifts it past
-    lower = np.clip(-np.maximum.reduceat(rows.hi, runs), 0.0, values)
+    lower = np.clip(-top, 0.0, values)
     # ties resolve to the lowest vertex id
     pinned = int(np.flatnonzero(values <= values.min() + TIE_TOL)[0])
     minimizer = x[pinned] / float((x[pinned] ** k).sum()) ** (1.0 / k)
@@ -127,7 +130,7 @@ def analytic_connectivity(
         minimizer=minimizer,
         kkt_residual=_kkt_residual(h, pinned, minimizer, alpha),
         per_vertex_values=tuple(float(v) for v in values),
-        converged=bool(rows.converged.all()),
+        converged=converged,
         lower_bound=float(lower.min()),
         per_vertex_lower_bounds=tuple(float(v) for v in lower),
     )

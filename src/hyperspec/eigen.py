@@ -96,12 +96,14 @@ class ComponentRadius:
 
 @dataclass(frozen=True)
 class PerronRows:
-    """Outcome of ``perron_rows``, one value per segment but for ``vectors``.
+    """Outcome of ``perron_rows``: a segment table, one value per segment but for
+    ``entries`` and ``values``, which hold one per place.
 
     The segments come row after row, and by label within a row; segment j
-    holds the flat indices ``entries[starts[j]:starts[j + 1]]`` (row * n +
-    vertex, ascending) of ``vectors``, so ``np.split(entries, starts[1:])``
-    lists them.  Every row holds at least one segment.
+    holds the places ``starts[j]`` up to ``starts[j + 1]``, at which
+    ``entries`` holds its flat indices (row * n + vertex, ascending) and
+    ``values`` its vector, at sup-norm 1.  So ``np.split(entries,
+    starts[1:])`` lists the segments.  Every row holds at least one segment.
     """
 
     entries: np.ndarray
@@ -110,7 +112,7 @@ class PerronRows:
     hi: np.ndarray
     iterations: np.ndarray  # power steps run
     converged: np.ndarray  # the bracket closed to within tol in max_iter power steps
-    vectors: np.ndarray  # (rows, n): each segment at sup-norm 1, 0 at a removed vertex
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -170,59 +172,60 @@ def verify_eigenpair(
 
 
 def _ratio_bracket(
-    edges: np.ndarray, x: np.ndarray, entries: np.ndarray, starts: np.ndarray, c: np.ndarray, shift: float
+    edges: np.ndarray, x: np.ndarray, starts: np.ndarray, c: np.ndarray, shift: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(y, lo, hi) at an x whose segments are ``entries`` split at ``starts``, and
-    whose segments' edges are the rows ``edges`` of flat indices into x: y = A x^{k-1}
-    + (c + shift) x^{[k-1]} at the entries, and per segment the least and largest
-    y_i / x_i^{k-1} over its entries, less the shift."""
+    """(y, lo, hi) at an x whose segments begin at ``starts``, and whose edges are
+    the rows ``edges`` of places in x: y = A x^{k-1} + (c + shift) x^{[k-1]}, and
+    per segment the least and largest y_i / x_i^{k-1} over its places, less the
+    shift."""
     xkm1 = x ** (edges.shape[1] - 1)
-    y = (adjacency_products(edges, x) + (c + shift) * xkm1).take(entries)
-    ratios = y / xkm1.take(entries)
+    y = adjacency_products(edges, x) + (c + shift) * xkm1
+    ratios = y / xkm1
     return y, np.minimum.reduceat(ratios, starts) - shift, np.maximum.reduceat(ratios, starts) - shift
 
 
-def _stacked_edges(edges: np.ndarray, at: np.ndarray, size: np.ndarray, cells: int) -> np.ndarray:
-    """The rows of ``edges`` inside the segments ``at`` (runs of ``size`` flat indices
-    among ``cells``), as rows of places in ``at``, in stacking order: by segment
-    size, then segment, then edge.  Every edge lies inside one segment."""
-    place = np.full(cells, -1)
-    place[at] = np.arange(at.size)
-    local = place[edges]
-    local = local[local[:, 0] >= 0]
-    owner = np.repeat(np.arange(size.size), size)[local[:, 0]]
-    return local[np.lexsort((owner, size[owner]))]  # stable, so each segment keeps its edge order
-
-
 def _polish(
-    edges: np.ndarray, c: np.ndarray, shift: float, entries: np.ndarray, starts: np.ndarray,
+    edges: np.ndarray, c: np.ndarray, shift: float, starts: np.ndarray,
     want: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 ) -> None:
-    """Newton-polish together every segment of a (rows, n) x where ``want`` holds,
-    from the midpoint of its bracket [lo, hi]; the segment's x, lo and hi take the
+    """Newton-polish together every segment of x where ``want`` holds, from the
+    midpoint of its bracket [lo, hi]; the segment's x, lo and hi take the
     polished ones in place when the polish succeeds and narrows its bracket.
 
-    ``edges`` are the rows' edges as from ``row_edges``.  The wanted segments
-    are renumbered one after another, and the polish and its bracket run on
-    their own edges alone, so each segment's floats are those of a polish
-    on its own hypergraph.
+    x, c and ``edges`` are a chunk's place arrays, as ``perron_rows`` plans
+    them.  No edge joins two segments, so each wanted segment's floats are
+    those of a polish on its own hypergraph, and every other segment takes
+    no Newton step.
     """
-    size = np.diff(starts, append=entries.size)
-    at = entries[np.repeat(want, size)]
-    if at.size == 0:
+    if not want.any():
         return
-    size = size[want]
-    sub = np.cumsum(size) - size  # where each wanted segment begins in at
-    local = _stacked_edges(edges, at, size, x.size)
-    ce = c[at % x.shape[1]]
-    ok, _, xe = _newton(local, ce, x.take(at), sub, 0.5 * (lo[want] + hi[want]))
-    seg = np.repeat(np.arange(sub.size), size)
-    xe = xe / np.maximum.reduceat(xe, sub)[seg]
-    _, plo, phi = _ratio_bracket(local, xe, np.arange(at.size), sub, ce, shift)
-    better = ok & (phi - plo < hi[want] - lo[want])
-    i = np.flatnonzero(want)[better]
-    lo[i], hi[i] = plo[better], phi[better]
-    x.flat[at[better[seg]]] = xe[better[seg]]
+    ok, _, xe = _newton(edges, c, x, starts, 0.5 * (lo + hi), want)
+    seg = np.repeat(np.arange(starts.size), np.diff(starts, append=x.size))
+    xe = xe / np.maximum.reduceat(xe, starts)[seg]
+    _, plo, phi = _ratio_bracket(edges, xe, starts, c, shift)
+    better = ok & (phi - plo < hi - lo)
+    lo[better], hi[better] = plo[better], phi[better]
+    x[better[seg]] = xe[better[seg]]
+
+
+def _chunk(h: Hypergraph, removed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(entries, starts, edges): the segment table of the rows h - removed[r], as one
+    chunk numbers it.
+
+    Place p is the vertex at flat index entries[p] (row * n + vertex), and the
+    places run row after row, by label within a row, and by vertex within a
+    segment, which begins at ``starts``.  ``edges`` holds the rows' edges as
+    rows of places, each segment's edges one run in row order.
+    """
+    keep = np.arange(h.n) != removed[:, None]
+    cells = row_edges(h, removed)
+    label = component_labels(cells, keep.size)
+    order, starts = sorted_runs(label[keep.ravel()])
+    entries = np.flatnonzero(keep)[order]
+    place = np.empty(keep.size, dtype=np.int64)
+    place[entries] = np.arange(entries.size)
+    # segments run in label order, and the stable sort keeps each one's edge order
+    return entries, starts, place[cells[np.argsort(label[cells[:, 0]], kind="stable")]]
 
 
 def perron_rows(
@@ -237,22 +240,30 @@ def perron_rows(
     ``removed`` holds vertex ids, -1 for none.  Row r is h - removed[r], and
     each of its components is a segment, labelled by ``component_labels``
     with its smallest vertex.  ``c`` is a length-n vector, at least -d.
-    Each chunk's edges are listed once, by ``row_edges``, and the labels,
-    every power step and the polish read that list alone: no edge through
-    a removed vertex enters any sum, and no edge joins two segments, so a
+    Rows run in fixed chunks of ROW_ENTRY_CAP // (m k).  Each chunk is
+    planned once, by ``_chunk``, as its rows of the ``PerronRows`` segment
+    table: its vertices are numbered once, as places, and its edges are
+    listed once, from ``row_edges``, as rows of places.  The vector, the
+    products and the ratios of a chunk are flat arrays over its places, so
+    a reduction over its segments is one ``reduceat``, and its steps,
+    brackets and outcomes are one value per segment.  No edge through a
+    removed vertex enters any sum, and no edge joins two segments, so a
     vertex's floats do not depend on the other segments of its row.  (They
     are the floats of a step over all of h with the removed vertex held at
-    0, whose edges would add only exact +0.0 terms.)  With shift = max
+    0, whose edges would add only exact +0.0 terms; each segment's edges
+    keep their order in h, so each place adds its terms in that step's
+    order.)  With shift = max
     degree + 1, shift + c is positive, which makes the block on a segment
     primitive.  Each segment then runs the shifted power iteration (NQZ)
 
         x <- (A x^{k-1} + (c + shift) x^{[k-1]})^{1/(k-1)}, at sup-norm 1 per segment
 
-    from the all-ones vector.  The root has exactly one positive
-    eigenvector, so neither the shift nor the start changes the answer,
-    only the path to it.  At every positive x the least and largest ratio
-    (A x^{k-1} + c x^{[k-1]})_i / x_i^{k-1} over the segment bracket its
-    root (Collatz-Wielandt).  A segment stops when its bracket is at most
+    from the all-ones vector, one ``adjacency_products`` over the chunk's
+    edges per step.  The root has exactly one positive eigenvector, so
+    neither the shift nor the start changes the answer, only the path to
+    it.  At every positive x the least and largest ratio (A x^{k-1} + c
+    x^{[k-1]})_i / x_i^{k-1} over the segment bracket its root
+    (Collatz-Wielandt).  A segment stops when its bracket is at most
     ``tol`` wide (converged) or after ``max_iter`` power steps, and keeps
     its x from then on; ``iterations`` counts the steps, not the bracket at
     the start.  Each segment is Newton-polished once.  When its bracket is
@@ -264,35 +275,26 @@ def perron_rows(
     chunk, which leaves ``converged`` as it was.  The bracket at the
     polished vector replaces the power iterate's when it is narrower.  A
     frozen segment's floats depend on its own x alone, so the polish gives
-    the floats it gave when it ran on freezing.  Rows run in fixed chunks of
-    ROW_ENTRY_CAP // (m k), each stepped by one ``adjacency_products`` over
-    its edges until none of its segments is going.  A chunk is planned
-    once, as the ``PerronRows`` segment table: a reduction over its
-    segments is one ``reduceat``, and its steps, brackets and outcomes are
-    one value per segment.
+    the floats it gave when it ran on freezing.
     """
     k, n = h.k, h.n
     capacity = max(1, ROW_ENTRY_CAP // (h.m * k))
-    member = np.arange(n) != removed[:, None]
     shift = float(h.degree_vector.max() + 1.0)
-    x = member.astype(np.float64)
     floor = (1e-300) ** (1.0 / (k - 1))  # keeps x^{k-1} above underflow
     chunks, planned = [], 0
-    # each chunk writes its entries straight into the table, so that the
-    # pieces never sit in memory beside their concatenation
-    table = np.empty(int(member.sum()), dtype=np.int64)
+    # each chunk writes its entries and values straight into the table, so
+    # that the pieces never sit in memory beside their concatenation
+    size = removed.size * n - int(np.count_nonzero(removed >= 0))
+    table, values = np.empty(size, dtype=np.int64), np.ones(size)  # every segment starts at all-ones
     for first in range(0, removed.size, capacity):
-        r = slice(first, first + capacity)
-        xr = x[r]
-        edges = row_edges(h, removed[r])
-        # chunk row i keeps its segment labelled s at cell i*n + s
-        order, starts = sorted_runs(component_labels(edges, xr.size)[member[r].ravel()])
-        entries = np.flatnonzero(member[r])[order]
+        entries, starts, edges = _chunk(h, removed[first : first + capacity])
         seg = np.repeat(np.arange(starts.size), np.diff(starts, append=entries.size))
+        cp = c[entries % n]
+        x = values[planned : planned + entries.size]
         steps = np.zeros(starts.size, dtype=np.int64)
         tried, frozen = np.zeros(starts.size, dtype=bool), np.zeros(starts.size, dtype=bool)
         while True:
-            y, lo, hi = _ratio_bracket(edges, xr, entries, starts, c, shift)
+            y, lo, hi = _ratio_bracket(edges, x, starts, cp, shift)
             gap = hi - lo
             fresh = (gap > tol) & (gap <= POLISH_GAP) & ~tried
             tried |= fresh
@@ -301,7 +303,7 @@ def perron_rows(
             if not going.any() and frozen.any():
                 # a frozen segment's floats depend on its own x alone, so
                 # polishing it now gives what polishing it on freezing gave
-                _polish(edges, c, shift, entries, starts, frozen, xr, lo, hi)
+                _polish(edges, cp, shift, starts, frozen, x, lo, hi)
                 frozen[:] = False
                 if ((hi - lo > tol) & (steps < max_iter)).any():
                     continue  # to read y at the polished x
@@ -310,14 +312,14 @@ def perron_rows(
             step = y ** (1.0 / (k - 1))
             move = going[seg]
             top = np.maximum.reduceat(step, starts)[seg[move]]
-            xr.flat[entries[move]] = np.maximum(step[move] / top, floor)
+            x[move] = np.maximum(step[move] / top, floor)
             steps += going
         converged = hi - lo <= tol
-        _polish(edges, c, shift, entries, starts, ~tried & (hi > lo), xr, lo, hi)
+        _polish(edges, cp, shift, starts, ~tried & (hi > lo), x, lo, hi)
         np.add(entries, first * n, out=table[planned : planned + entries.size])
         chunks.append((starts + planned, lo, hi, steps, converged))
         planned += entries.size
-    return PerronRows(table, *(np.concatenate(column) for column in zip(*chunks)), x)
+    return PerronRows(table, *(np.concatenate(column) for column in zip(*chunks)), values)
 
 
 def spectral_radius(
@@ -338,7 +340,7 @@ def spectral_radius(
     opts = opts or PowerOptions()
     c = h.degree_vector if kind is TensorKind.SIGNLESS_LAPLACIAN else np.zeros(h.n)
     rows = perron_rows(h, np.array([-1]), c, opts.tol, opts.max_iter)
-    # row 0's entries are its vertices
+    row = rows.values[np.argsort(rows.entries)]  # row 0's entries are its vertices, each once
     segments = zip(np.split(rows.entries, rows.starts[1:]), rows.lo, rows.hi, rows.iterations, rows.converged)
     results = [
         ComponentRadius(
@@ -347,7 +349,7 @@ def spectral_radius(
             bracket=(float(lo), float(hi)),
             iterations=int(steps),
             converged=bool(converged),
-            row=rows.vectors[0],
+            row=row,
         )
         for g, lo, hi, steps, converged in segments
     ]
@@ -378,27 +380,29 @@ def newton_polish(h: Hypergraph, c: np.ndarray, lam: float, x: np.ndarray) -> tu
     x = as_vector(h, x)
     c = np.broadcast_to(np.asarray(c, dtype=np.float64), (h.n,))
     one = np.zeros(1, dtype=np.int64)
-    ok, lam, x = _newton(h.edge_index, c, x, one, np.array([lam], dtype=np.float64))
+    ok, lam, x = _newton(h.edge_index, c, x, one, np.array([lam], dtype=np.float64), np.ones(1, dtype=bool))
     return (float(lam[0]), x) if ok[0] else None
 
 
 def _newton(
-    edges: np.ndarray, c: np.ndarray, x: np.ndarray, starts: np.ndarray, lam: np.ndarray
+    edges: np.ndarray, c: np.ndarray, x: np.ndarray, starts: np.ndarray, lam: np.ndarray, want: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``newton_polish`` for many segments at once, on their own values.
+    """``newton_polish`` for every segment of x where ``want`` holds, at once, on
+    their own values.
 
     x and c hold the segments' values one after another: segment j begins
     at x[starts[j]] and starts from lam[j].  ``edges`` holds the segments'
-    edges as rows of places in x, ordered by segment size (the stacking
-    order), then segment, then edge, which is each Jacobian's own edge
-    order; no edge joins two segments, so no segment's floats depend on
-    another's.  Each Newton step is one ``adjacency_products`` call over
-    those edges for every residual, and one stacked Jacobian and one
-    ``np.linalg.solve`` per stack of at most ROW_ENTRY_CAP // z^2 segments of
-    equal size z, whose edges are picked by per-segment offsets; a stack
+    edges as rows of places in x, each segment's edges one run in its own
+    edge order, which is its Jacobian's; no edge joins two segments, so no
+    segment's floats depend on another's.  Each Newton step is one
+    ``adjacency_products`` call over those edges for every residual, and
+    one stacked Jacobian and one ``np.linalg.solve`` per stack of at most
+    ROW_ENTRY_CAP // z^2 wanted segments of equal size z, taken by size,
+    whose edges are picked by per-segment offsets into their runs; a stack
     whose solve fails is solved matrix by matrix, and only the singular
-    ones fail.  Returns, per segment, whether it succeeded and its lam, and
-    the values of its vector (the start's, scaled, where it failed).
+    ones fail.  A segment not wanted takes no step.  Returns, per segment,
+    whether it was wanted and succeeded and its lam, and the values of its
+    vector (the start's, scaled, where it failed).
     """
     k = edges.shape[1]
     size = np.diff(starts, append=x.size)
@@ -406,12 +410,11 @@ def _newton(
     local = np.arange(x.size) - starts[seg]  # and its place in the segment
     top = np.maximum.reduceat(x, starts)
     pivot = np.minimum.reduceat(np.where(x == top[seg], np.arange(x.size), x.size), starts)
-    ok = top > 0.0
+    ok = want & (top > 0.0)
     xe = start = x / np.where(ok, top, 1.0)[seg]
     count = np.bincount(seg[edges[:, 0]], minlength=starts.size)
+    first = np.cumsum(count) - count  # where each segment's edges begin
     by_size = np.argsort(size, kind="stable")
-    first = np.empty_like(count)  # where each segment's edges begin
-    first[by_size] = np.cumsum(count[by_size]) - count[by_size]
     active, last = ok.copy(), np.full(starts.size, np.inf)
     for _ in range(20):
         xkm1 = xe ** (k - 1)

@@ -218,9 +218,12 @@ def row_edges(h: Hypergraph, removed: np.ndarray) -> np.ndarray:
     """The edges of every h - removed[r] as rows of flat indices r * n + v, row
     after row and in edge order within a row.
 
-    h - j drops vertex j and every edge through it; j = -1 drops nothing.
-    This is the one place where that is decided.
+    h - j drops vertex j and every edge through it; j = -1 drops nothing, so
+    the one row h - (-1) is ``h.edge_index`` itself.  This is the one place
+    where that is decided.
     """
+    if removed.size == 1 and removed[0] < 0:
+        return h.edge_index
     row, edge = np.nonzero((h.edge_index != removed[:, None, None]).all(axis=2))
     return h.edge_index[edge] + (row * h.n)[:, None]
 
@@ -229,14 +232,17 @@ def component_labels(cells: np.ndarray, size: int) -> np.ndarray:
     """label[i]: the smallest of the ``size`` flat ids joined to i by the edges ``cells``.
 
     Min-label propagation with pointer jumping over the (edges, k) rows of
-    ids; an id on no edge labels itself.  On ``row_edges(h, removed)`` with
-    size = rows * n, the label of r * n + i is r * n plus the smallest
-    vertex of i's component in h - removed[r].
+    ids; an id on no edge labels itself.  Each round gathers the labels of
+    the k edge columns as one contiguous (k, edges) array, takes each
+    edge's least column by column, and scatters it to the edge's ids with
+    one flat ``np.minimum.at``.  On ``row_edges(h, removed)`` with size = rows * n,
+    the label of r * n + i is r * n plus the smallest vertex of i's
+    component in h - removed[r].
     """
     label = np.arange(size)
     while True:
         new = label.copy()
-        np.minimum.at(new, cells, label[cells].min(axis=1)[:, None])
+        np.minimum.at(new, cells.ravel(), np.repeat(label.take(cells.T).min(axis=0), cells.shape[1]))
         new = new[new]
         if np.array_equal(new, label):
             return label

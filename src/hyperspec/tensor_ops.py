@@ -21,8 +21,8 @@ takes its edges as rows of flat indices into the array it reads: ``apply``
 passes ``edge_index`` for one vector and ``hypergraph.row_edges``, edge e
 of row b at b*n + i, for a stack, so row b of the result holds exactly the
 floats the 1-D call on row b would give.  The Perron kernel in ``eigen``
-passes the edges of each row less its removed vertex, or of a few
-segments renumbered one after another.
+numbers the vertices of each chunk of rows once, as places, and passes
+the chunk's edges as rows of places into one flat array of its values.
 
 Every per-edge quantity comes from the k edge columns, contiguous (..., m)
 gathers of the entries at one edge position, by elementwise operations.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from functools import reduce
 
 import numpy as np
@@ -13,6 +14,7 @@ from hyperspec import (
     Hypergraph,
     PowerOptions,
     TensorKind,
+    apply,
     bound_report,
     components,
     degree_stats,
@@ -26,7 +28,7 @@ from hyperspec import (
 
 from hyperspec import eigen
 from hyperspec.eigen import newton_polish
-from hyperspec.hypergraph import component_labels, row_edges, sorted_runs
+from hyperspec.hypergraph import component_labels, row_edges
 
 from conftest import induced, random_connected, single_edge
 
@@ -267,6 +269,10 @@ def test_perron_rows_hold_one_value_per_segment(hub_graph, two_edge_path):
     assert rows.starts.shape == rows.lo.shape == rows.hi.shape == (copies,)
     assert rows.iterations.shape == rows.converged.shape == (copies,)
     assert [tuple(g.tolist()) for g in np.split(rows.entries, rows.starts[1:])] == components(union)
+    # the values sit at the places of entries: each copy holds the one graph's vector
+    (one,) = spectral_radius(TensorKind.ADJACENCY, two_edge_path).components
+    assert rows.values.shape == rows.entries.shape
+    assert all(np.array_equal(g, one.vector) for g in np.split(rows.values, rows.starts[1:]))
     # alpha's rows: G - j for every j, its segments row after row, by label within a row
     h = hub_graph
     removed = np.arange(h.n)
@@ -282,28 +288,36 @@ def test_perron_rows_hold_one_value_per_segment(hub_graph, two_edge_path):
         assert [g[0] for g in mine] == sorted(set(np.delete(labels[r], r).tolist()))
         for g in mine:
             assert np.all(np.diff(g) > 0) and np.all(labels[r, g] == g[0])
-    assert rows.entries.shape == (h.n * (h.n - 1),)  # every vertex but the removed one
+    assert rows.entries.shape == rows.values.shape == (h.n * (h.n - 1),)  # every vertex but the removed one
     for name in ("starts", "lo", "hi", "iterations", "converged"):
         assert getattr(rows, name).shape == (len(segments),), name
-    assert rows.vectors.shape == (h.n, h.n)
+    assert all(getattr(rows, f.name).ndim == 1 for f in dataclasses.fields(rows))  # no (rows, n) field
+    # each segment's values, put at its entries, are a Perron vector of its root
+    for g, v, lo, hi in zip(segments, np.split(rows.values, rows.starts[1:]), rows.lo, rows.hi):
+        x = np.zeros(h.n)
+        x[g % h.n] = v
+        y = apply(TensorKind.ADJACENCY, h, x) - h.degree_vector * x ** (h.k - 1)
+        assert v.max() == 1.0 and np.abs(y[g % h.n] - 0.5 * (lo + hi) * v ** (h.k - 1)).max() <= 1e-9
 
 
 def per_segment_polish(h, c, shift, entries, starts, want, x, lo, hi):
     """The Newton finish as it ran before it was batched: ``newton_polish`` on each
-    wanted segment's own hypergraph, one segment after another."""
+    wanted segment's own hypergraph, one segment after another, with x at the
+    places of ``entries``."""
     for s, (cells, wanted) in enumerate(zip(np.split(entries, starts[1:]), want)):
         if not wanted:
             continue
-        i, S = cells[0] // h.n, cells % h.n
+        S = cells % h.n
+        at = slice(starts[s], starts[s] + S.size)
         g = induced(h, S)
-        out = newton_polish(g, c[S], 0.5 * (lo[s] + hi[s]), x[i, S])
+        out = newton_polish(g, c[S], 0.5 * (lo[s] + hi[s]), x[at])
         if out is None:
             continue
         xp = out[1] / out[1].max()
         one = np.zeros(1, dtype=np.int64)
-        _, plo, phi = eigen._ratio_bracket(g.edge_index, xp, np.arange(S.size), one, c[S], shift)
+        _, plo, phi = eigen._ratio_bracket(g.edge_index, xp, one, c[S], shift)
         if phi[0] - plo[0] < hi[s] - lo[s]:
-            x[i, S], lo[s], hi[s] = xp, plo[0], phi[0]
+            x[at], lo[s], hi[s] = xp, plo[0], phi[0]
 
 
 def finish_cases(hub_graph):
@@ -322,15 +336,14 @@ def finish_cases(hub_graph):
 
 
 def chunk_state(h, removed, c, x):
-    """(edges, entries, starts, shift, lo, hi): the edges and segments of h - removed[r]
-    at x, as one chunk, with their brackets."""
-    edges = row_edges(h, removed)
-    member = np.arange(h.n) != removed[:, None]
-    order, starts = sorted_runs(component_labels(edges, x.size)[member.ravel()])
-    entries = np.flatnonzero(member)[order]
+    """(edges, cp, entries, starts, shift, lo, hi): the segments of h - removed[r] as
+    one chunk, with their edges as rows of places, c at each place, and their
+    brackets at the place values x."""
+    entries, starts, edges = eigen._chunk(h, removed)
+    cp = c[entries % h.n]
     shift = float(h.degree_vector.max() + 1.0)
-    _, lo, hi = eigen._ratio_bracket(edges, x, entries, starts, c, shift)
-    return edges, entries, starts, shift, lo, hi
+    _, lo, hi = eigen._ratio_bracket(edges, x, starts, cp, shift)
+    return edges, cp, entries, starts, shift, lo, hi
 
 
 def test_batched_finish_matches_the_per_segment_polish(hub_graph):
@@ -338,11 +351,12 @@ def test_batched_finish_matches_the_per_segment_polish(hub_graph):
     rng = np.random.default_rng(5)
     for name, h, removed, c in finish_cases(hub_graph):
         rows = eigen.perron_rows(h, removed, c, 1e-2, 100_000)
-        x = rows.vectors * (1.0 + 1e-2 * rng.random(rows.vectors.shape))
-        edges, entries, starts, shift, lo, hi = chunk_state(h, removed, c, x)
+        x = rows.values * (1.0 + 1e-2 * rng.random((removed.size, h.n)).take(rows.entries))
+        edges, cp, entries, starts, shift, lo, hi = chunk_state(h, removed, c, x)
+        assert np.array_equal(entries, rows.entries), name  # the rows fill one chunk
         want = hi > lo
         got = [a.copy() for a in (x, lo, hi)]
-        eigen._polish(edges, c, shift, entries, starts, want, *got)
+        eigen._polish(edges, cp, shift, starts, want, *got)
         per_segment_polish(h, c, shift, entries, starts, want, x, lo, hi)
         for a, b in zip(got, (x, lo, hi)):
             assert np.array_equal(a, b), name
@@ -355,9 +369,9 @@ def test_a_singular_segment_fails_alone(hub_graph, monkeypatch):
     # both share one stack of equal-size matrices
     u = reduce(disjoint_union, (hub_graph, hub_graph, random_connected(np.random.default_rng(3), 3, 6)))
     c, removed = u.degree_vector, np.array([-1])
-    x = eigen.perron_rows(u, removed, c, 1e-2, 100_000).vectors
-    x[0, :8] = 1.0
-    edges, entries, starts, shift, lo, hi = chunk_state(u, removed, c, x)
+    x = eigen.perron_rows(u, removed, c, 1e-2, 100_000).values
+    x[:8] = 1.0
+    edges, cp, entries, starts, shift, lo, hi = chunk_state(u, removed, c, x)
     assert starts.tolist() == [0, 8, 16]  # the segments labelled 0, 8 and 16
     lo[0], hi[0] = 7.0, 9.0
     want = hi > lo
@@ -373,12 +387,12 @@ def test_a_singular_segment_fails_alone(hub_graph, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", solve_or_raise)
     got = [a.copy() for a in (x, lo, hi)]
-    eigen._polish(edges, c, shift, entries, starts, want, *got)
+    eigen._polish(edges, cp, shift, starts, want, *got)
     assert raised[:2] == [(2, 8, 8), (8, 8)]  # the stack, then the singular matrix alone
     per_segment_polish(u, c, shift, entries, starts, want, x, lo, hi)
     for a, b in zip(got, (x, lo, hi)):
         assert np.array_equal(a, b)
-    assert np.array_equal(got[0][0, :8], np.ones(8)) and (got[1][0], got[2][0]) == (7.0, 9.0)
+    assert np.array_equal(got[0][:8], np.ones(8)) and (got[1][0], got[2][0]) == (7.0, 9.0)
     assert got[2][1] - got[1][1] <= 1e-10 and got[2][2] - got[1][2] <= 1e-10
 
 

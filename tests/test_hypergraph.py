@@ -297,6 +297,13 @@ def test_component_labels_match_union_find_reference():
         assert components(h) == sorted({tuple(np.flatnonzero(got[0] == v).tolist()) for v in got[0]})
 
 
+def test_the_one_row_that_drops_nothing_is_the_edge_index_itself(hub_graph):
+    # h - (-1) is h, whose flat indices 0 * n + v are its own edge index
+    assert row_edges(hub_graph, np.array([-1])) is hub_graph.edge_index
+    two = row_edges(hub_graph, np.array([-1, -1]))
+    assert np.array_equal(two, np.concatenate([hub_graph.edge_index, hub_graph.edge_index + hub_graph.n]))
+
+
 def test_disjoint_union_shifts_edges_and_keeps_degrees(hub_graph, two_edge_path):
     u = disjoint_union(hub_graph, two_edge_path)
     assert u.k == 3 and u.n == 12 and u.m == hub_graph.m + two_edge_path.m

@@ -366,9 +366,10 @@ def test_row_edges_keep_every_member_sum_bit_for_bit():
         assert got[member].tobytes() == want[member].tobytes()
 
 
-def test_compensated_summation_path_agrees_with_reference():
-    # over 10,000 edges a vertex collects hundreds of terms in one scatter;
-    # the sequential float64 sum must still agree with the naive reference
+def test_bincount_scatter_over_10000_edges_agrees_with_reference():
+    # over 10,000 edges a vertex collects hundreds of terms in the one plain
+    # bincount scatter; its sequential float64 sum must agree with the naive
+    # reference
     rng = np.random.default_rng(37)
     n = 41
     edges = set()
