@@ -1,11 +1,11 @@
 """Count the code lines of the package: no blanks, comments or docstrings.
 
-    python tools/code_lines.py [SRC]
+    python tools/code_lines.py
 
-prints one line per module under SRC (default ``src``), then the total.  A
-line counts when a token other than a comment or a docstring starts or
-runs over it; a docstring is a string statement that opens a module, a
-class or a function.
+run from a checkout's root, prints one line per module under ``src``, then
+the total.  A line counts when a token other than a comment or a docstring
+starts or runs over it; a docstring is a string statement that opens a
+module, a class or a function.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[1] if len(argv) > 1 else "src")
+def main() -> int:
+    root = Path("src")
     total = 0
     for path in sorted(root.rglob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
@@ -51,4 +51,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
