@@ -98,32 +98,48 @@ def analytic_connectivity(
     C, run for at most ``opts.max_iter`` power steps.  A pin's value is the
     form at its segment of largest root, scaled to sum x^k = 1; its lower
     bound is minus the largest upper bracket end over its segments.  alpha
-    is the value of the lowest pin within TIE_TOL of the least value.  ``opts.starts`` and
-    ``opts.seed`` are not read.
+    is the value of the lowest pin within TIE_TOL of the least value.
+    ``opts.starts`` and ``opts.seed`` are not read.
+
+    The rows come one chunk at a time, and each chunk is folded as it
+    comes: one ``form`` over its (chunk rows, n) best segments gives its
+    pins' values, the row-by-row floats of a 1-D call.  Of those rows only
+    the records are kept, the pins whose value is below every earlier
+    pin's, and only while they lie within TIE_TOL of the least value so
+    far.  The lowest pin within TIE_TOL of the least value lies below every
+    earlier pin, so it is the first record left at the end.  Memory is one
+    chunk, O(ROW_ENTRY_CAP + capacity n), plus O(n) and the records' rows.
     """
     opts = opts or AlphaOptions()
     n, k = h.n, h.k
-    rows = perron_rows(h, np.arange(n), -h.degree_vector, BRACKET_TOL, opts.max_iter)
-    size = np.diff(rows.starts, append=rows.entries.size)
-    seg = np.arange(size.size)
-    pin = rows.entries[rows.starts] // n
-    runs = np.flatnonzero(np.diff(pin, prepend=-1))  # G - j keeps n - 1 >= 1 vertices
-    mid = 0.5 * (rows.lo + rows.hi)
-    # of a pin's tied segments the first, of least label, wins
-    best = np.minimum.reduceat(np.where(mid == np.maximum.reduceat(mid, runs)[pin], seg, seg.size), runs)
-    x = np.zeros((n, n))  # each pin's best segment, 0 elsewhere
-    keep = np.repeat(np.isin(seg, best), size)
-    x.flat[rows.entries[keep]] = rows.values[keep]
-    top, converged = np.maximum.reduceat(rows.hi, runs), bool(rows.converged.all())
-    del rows, keep  # the table is as large as x: free it before the form's temporaries
-    # the form is >= 0 on the slice (AM-GM per edge); dips below are rounding
-    values = np.maximum(form(TensorKind.LAPLACIAN, h, x) / (x**k).sum(axis=1), 0.0)
-    # a lower bound may drop to the value it bounds where rounding lifts it past
-    lower = np.clip(-top, 0.0, values)
-    # ties resolve to the lowest vertex id
-    pinned = int(np.flatnonzero(values <= values.min() + TIE_TOL)[0])
-    minimizer = x[pinned] / float((x[pinned] ** k).sum()) ** (1.0 / k)
-    alpha = float(values[pinned])
+    values, lower, records, least, converged = [], [], [], np.inf, True
+    for rows in perron_rows(h, np.arange(n), -h.degree_vector, BRACKET_TOL, opts.max_iter):
+        size = np.diff(rows.starts, append=rows.entries.size)
+        seg = np.arange(size.size)
+        pin = rows.entries[rows.starts] // n
+        runs = np.flatnonzero(np.diff(pin, prepend=-1))  # G - j keeps n - 1 >= 1 vertices
+        first = int(pin[0])
+        mid = 0.5 * (rows.lo + rows.hi)
+        # of a pin's tied segments the first, of least label, wins
+        best = np.minimum.reduceat(np.where(mid == np.maximum.reduceat(mid, runs)[pin - first], seg, seg.size), runs)
+        x = np.zeros((runs.size, n))  # per pin of the chunk: its best segment, 0 elsewhere
+        keep = np.repeat(np.isin(seg, best), size)
+        x.flat[rows.entries[keep] - first * n] = rows.values[keep]
+        converged &= bool(rows.converged.all())
+        # the form is >= 0 on the slice (AM-GM per edge); dips below are rounding
+        v = np.maximum(form(TensorKind.LAPLACIAN, h, x) / (x**k).sum(axis=1), 0.0)
+        values.append(v)
+        # a lower bound may drop to the value it bounds where rounding lifts it past
+        lower.append(np.clip(-np.maximum.reduceat(rows.hi, runs), 0.0, v))
+        # the records, pins below every earlier value, hold the lowest pin within
+        # TIE_TOL of the least value: keep those that may still be within it
+        new = v < np.minimum.accumulate(np.append(least, v[:-1]))
+        records += [(float(v[b]), first + int(b), x[b].copy()) for b in np.flatnonzero(new)]
+        least = min(least, v.min())
+        records = [r for r in records if r[0] <= least + TIE_TOL]
+    values, lower = np.concatenate(values), np.concatenate(lower)
+    alpha, pinned, x = records[0]  # ties resolve to the lowest vertex id
+    minimizer = x / float((x**k).sum()) ** (1.0 / k)
     return AlphaCertificate(
         alpha=alpha,
         pinned_vertex=pinned,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -96,14 +97,16 @@ class ComponentRadius:
 
 @dataclass(frozen=True)
 class PerronRows:
-    """Outcome of ``perron_rows``: a segment table, one value per segment but for
-    ``entries`` and ``values``, which hold one per place.
+    """One chunk's outcome of ``perron_rows``: the segment table of its rows, one
+    value per segment but for ``entries`` and ``values``, which hold one per
+    place.
 
     The segments come row after row, and by label within a row; segment j
     holds the places ``starts[j]`` up to ``starts[j + 1]``, at which
-    ``entries`` holds its flat indices (row * n + vertex, ascending) and
-    ``values`` its vector, at sup-norm 1.  So ``np.split(entries,
-    starts[1:])`` lists the segments.  Every row holds at least one segment.
+    ``entries`` holds its flat indices (row * n + vertex, ascending, with
+    the row counted over all of ``removed``) and ``values`` its vector, at
+    sup-norm 1.  So ``np.split(entries, starts[1:])`` lists the segments.
+    Every row of the chunk holds at least one segment.
     """
 
     entries: np.ndarray
@@ -234,16 +237,18 @@ def perron_rows(
     c: np.ndarray,
     tol: float,
     max_iter: int,
-) -> PerronRows:
+) -> Iterator[PerronRows]:
     """Perron root of A + diag(c) on every component of h - removed[r].
 
     ``removed`` holds vertex ids, -1 for none.  Row r is h - removed[r], and
     each of its components is a segment, labelled by ``component_labels``
     with its smallest vertex.  ``c`` is a length-n vector, at least -d.
-    Rows run in fixed chunks of ROW_ENTRY_CAP // (m k).  Each chunk is
-    planned once, by ``_chunk``, as its rows of the ``PerronRows`` segment
-    table: its vertices are numbered once, as places, and its edges are
-    listed once, from ``row_edges``, as rows of places.  The vector, the
+    Rows run in fixed chunks of ROW_ENTRY_CAP // (m k), and each chunk's
+    ``PerronRows`` is yielded once its polish ends, so no state outlives
+    its chunk: a caller that folds each chunk as it comes holds one chunk's
+    table at a time.  Each chunk is planned once, by ``_chunk``: its
+    vertices are numbered once, as places, and its edges are listed once,
+    from ``row_edges``, as rows of places.  The vector, the
     products and the ratios of a chunk are flat arrays over its places, so
     a reduction over its segments is one ``reduceat``, and its steps,
     brackets and outcomes are one value per segment.  No edge through a
@@ -281,16 +286,11 @@ def perron_rows(
     capacity = max(1, ROW_ENTRY_CAP // (h.m * k))
     shift = float(h.degree_vector.max() + 1.0)
     floor = (1e-300) ** (1.0 / (k - 1))  # keeps x^{k-1} above underflow
-    chunks, planned = [], 0
-    # each chunk writes its entries and values straight into the table, so
-    # that the pieces never sit in memory beside their concatenation
-    size = removed.size * n - int(np.count_nonzero(removed >= 0))
-    table, values = np.empty(size, dtype=np.int64), np.ones(size)  # every segment starts at all-ones
     for first in range(0, removed.size, capacity):
         entries, starts, edges = _chunk(h, removed[first : first + capacity])
         seg = np.repeat(np.arange(starts.size), np.diff(starts, append=entries.size))
         cp = c[entries % n]
-        x = values[planned : planned + entries.size]
+        x = np.ones(entries.size)  # every segment starts at all-ones
         steps = np.zeros(starts.size, dtype=np.int64)
         tried, frozen = np.zeros(starts.size, dtype=bool), np.zeros(starts.size, dtype=bool)
         while True:
@@ -316,10 +316,7 @@ def perron_rows(
             steps += going
         converged = hi - lo <= tol
         _polish(edges, cp, shift, starts, ~tried & (hi > lo), x, lo, hi)
-        np.add(entries, first * n, out=table[planned : planned + entries.size])
-        chunks.append((starts + planned, lo, hi, steps, converged))
-        planned += entries.size
-    return PerronRows(table, *(np.concatenate(column) for column in zip(*chunks)), values)
+        yield PerronRows(entries + first * n, starts, lo, hi, steps, converged, x)
 
 
 def spectral_radius(
@@ -339,7 +336,7 @@ def spectral_radius(
         raise ValueError("spectral_radius supports only the adjacency and signless Laplacian tensors")
     opts = opts or PowerOptions()
     c = h.degree_vector if kind is TensorKind.SIGNLESS_LAPLACIAN else np.zeros(h.n)
-    rows = perron_rows(h, np.array([-1]), c, opts.tol, opts.max_iter)
+    (rows,) = perron_rows(h, np.array([-1]), c, opts.tol, opts.max_iter)
     row = rows.values[np.argsort(rows.entries)]  # row 0's entries are its vertices, each once
     segments = zip(np.split(rows.entries, rows.starts[1:]), rows.lo, rows.hi, rows.iterations, rows.converged)
     results = [

@@ -15,14 +15,13 @@ and a single edge e contributes to the homogeneous form T x^k
 
 so every operation here costs O(m k), not O(n^k).
 
-``apply`` and ``form`` also take a (B, n) stack of row vectors and evaluate
-every row in the same calls.  The scatter kernel ``adjacency_products``
-takes its edges as rows of flat indices into the array it reads: ``apply``
-passes ``edge_index`` for one vector and ``hypergraph.row_edges``, edge e
-of row b at b*n + i, for a stack, so row b of the result holds exactly the
-floats the 1-D call on row b would give.  The Perron kernel in ``eigen``
-numbers the vertices of each chunk of rows once, as places, and passes
-the chunk's edges as rows of places into one flat array of its values.
+``form`` also takes a (B, n) stack of row vectors and evaluates every row
+in the same calls, each with the floats of the 1-D call on that row.  The
+scatter kernel ``adjacency_products`` takes its edges as rows of flat
+indices into the array it reads: ``apply`` passes ``edge_index`` for its
+one vector, and the Perron kernel in ``eigen`` numbers the vertices of
+each chunk of rows once, as places, and passes the chunk's edges as rows
+of places into one flat array of its values.
 
 Every per-edge quantity comes from the k edge columns, contiguous (..., m)
 gathers of the entries at one edge position, by elementwise operations.
@@ -46,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, row_edges
+from .hypergraph import Hypergraph
 
 
 class TensorKind(Enum):
@@ -114,12 +113,9 @@ def adjacency_products(cells: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def apply(kind: TensorKind, h: Hypergraph, x: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Evaluate T x^{k-1} for T in {A, L, Q} without forming the tensor.
-
-    ``x`` is one vector or a (B, n) stack of rows; the result has its shape.
-    """
-    v = _as_rows(h, x)
-    a = adjacency_products(h.edge_index if v.ndim == 1 else row_edges(h, np.full(len(v), -1)), v)
+    """Evaluate T x^{k-1} for T in {A, L, Q} without forming the tensor."""
+    v = as_vector(h, x)
+    a = adjacency_products(h.edge_index, v)
     if kind is TensorKind.ADJACENCY:
         return a
     dxk = h.degree_vector * v ** (h.k - 1)

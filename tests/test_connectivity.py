@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -204,6 +205,9 @@ def golden_graph(request, name: str) -> Hypergraph:
             random_connected(np.random.default_rng(51), 3, 5),
             random_connected(np.random.default_rng(52), 3, 4),
         ),
+        # edges {i, i + 1, i + 2} mod 40: every pin is alike, and its 40
+        # per-pin values are 27 floats within 2.2e-16, least at pin 29
+        "cycle": lambda: Hypergraph.from_edges(3, 40, [sorted({i, (i + 1) % 40, (i + 2) % 40}) for i in range(40)]),
         "parts": lambda: disjoint_union(
             disjoint_union(
                 random_connected(np.random.default_rng(53), 3, 6),
@@ -283,6 +287,7 @@ def test_batched_solver_matches_recorded_per_pin_values(name, request):
 def _alpha_floats(h: Hypergraph) -> tuple:
     cert = analytic_connectivity(h, FAST)
     return (
+        cert.pinned_vertex,
         cert.per_vertex_values,
         cert.per_vertex_lower_bounds,
         cert.lower_bound,
@@ -307,6 +312,8 @@ def _radius_floats(h: Hypergraph) -> list:
         pytest.param("parts", 1, _alpha_floats, id="parts-1"),
         pytest.param("parts", 3, _alpha_floats, id="parts-3"),
         pytest.param("parts", 1, _radius_floats, id="parts-1-radius"),
+        pytest.param("cycle", 1, _alpha_floats, id="cycle-1"),
+        pytest.param("cycle", 2, _alpha_floats, id="cycle-2"),
     ],
 )
 def test_working_set_capacity_does_not_change_the_answer(name, rows, solve, request, monkeypatch):
@@ -317,6 +324,41 @@ def test_working_set_capacity_does_not_change_the_answer(name, rows, solve, requ
     want = solve(h)
     monkeypatch.setattr(eigen, "ROW_ENTRY_CAP", rows * h.m * h.k)
     assert solve(h) == want
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_the_lowest_pin_within_the_tie_tolerance_wins_across_chunks(rows, monkeypatch):
+    # crafted per-pin values: the early record 5e-12 drops out of the tie
+    # once 0.8e-12 is seen, and the middle record 1.5e-12 wins
+    h = Hypergraph.from_edges(3, 5, [(0, 1, 2), (2, 3, 4)])
+    crafted, seen = np.array([5.0, 1.5, 9.0, 1.0, 0.8]) * 1e-12, []
+
+    def crafted_form(kind, g, x):
+        pins = crafted[len(seen) : len(seen) + len(x)]
+        seen.extend(pins)
+        return pins * (x**g.k).sum(axis=1)
+
+    monkeypatch.setattr(connectivity, "form", crafted_form)
+    monkeypatch.setattr(eigen, "ROW_ENTRY_CAP", rows * h.m * h.k)
+    cert = analytic_connectivity(h, FAST)
+    v = np.array(cert.per_vertex_values)
+    assert v == pytest.approx(crafted, rel=1e-12)
+    assert cert.pinned_vertex == np.flatnonzero(v <= v.min() + connectivity.TIE_TOL)[0] == 1
+    assert cert.alpha == v[1]
+
+
+def test_alpha_memory_does_not_grow_as_n_squared():
+    # 200 disjoint k3 two-edge paths, n = 1,000: one (n, n) float64 array
+    # alone is 7.6 MiB, and a whole-solve segment table is twice that
+    h = Hypergraph.from_edges(3, 1000, [(v, v + 1, v + 2) for c in range(0, 1000, 5) for v in (c, c + 2)])
+    tracemalloc.start()
+    try:
+        cert = analytic_connectivity(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.alpha == 0.0 and cert.converged
+    assert peak < 16 * 2**20
 
 
 def test_kkt_residual_matches_loop_reference():

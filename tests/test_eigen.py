@@ -265,7 +265,7 @@ def test_perron_rows_hold_one_value_per_segment(hub_graph, two_edge_path):
     n, copies = two_edge_path.n, 1001
     edges = [tuple(v + n * c for v in e) for c in range(copies) for e in two_edge_path.edges]
     union = Hypergraph.from_edges(3, n * copies, edges)
-    rows = eigen.perron_rows(union, np.array([-1]), np.zeros(union.n), 1e-10, 100_000)
+    (rows,) = eigen.perron_rows(union, np.array([-1]), np.zeros(union.n), 1e-10, 100_000)
     assert rows.starts.shape == rows.lo.shape == rows.hi.shape == (copies,)
     assert rows.iterations.shape == rows.converged.shape == (copies,)
     assert [tuple(g.tolist()) for g in np.split(rows.entries, rows.starts[1:])] == components(union)
@@ -276,7 +276,7 @@ def test_perron_rows_hold_one_value_per_segment(hub_graph, two_edge_path):
     # alpha's rows: G - j for every j, its segments row after row, by label within a row
     h = hub_graph
     removed = np.arange(h.n)
-    rows = eigen.perron_rows(h, removed, -h.degree_vector, 1e-10, 100_000)
+    (rows,) = eigen.perron_rows(h, removed, -h.degree_vector, 1e-10, 100_000)  # the rows fill one chunk
     segments = np.split(rows.entries, rows.starts[1:])
     row = rows.entries[rows.starts] // h.n
     assert np.array_equal(np.unique(row), removed)  # every row holds a segment
@@ -298,6 +298,23 @@ def test_perron_rows_hold_one_value_per_segment(hub_graph, two_edge_path):
         x[g % h.n] = v
         y = apply(TensorKind.ADJACENCY, h, x) - h.degree_vector * x ** (h.k - 1)
         assert v.max() == 1.0 and np.abs(y[g % h.n] - 0.5 * (lo + hi) * v ** (h.k - 1)).max() <= 1e-9
+
+
+def test_perron_rows_yield_one_table_per_chunk(hub_graph, monkeypatch):
+    # chunks of 3, 3 and 2 rows: each is a whole table of its own rows, and
+    # together they are the one-chunk table bit for bit
+    h, removed = hub_graph, np.arange(hub_graph.n)
+    (whole,) = eigen.perron_rows(h, removed, -h.degree_vector, 1e-10, 100_000)
+    monkeypatch.setattr(eigen, "ROW_ENTRY_CAP", 3 * h.m * h.k)
+    chunks = list(eigen.perron_rows(h, removed, -h.degree_vector, 1e-10, 100_000))
+    assert [np.unique(rows.entries // h.n).tolist() for rows in chunks] == [[0, 1, 2], [3, 4, 5], [6, 7]]
+    assert all(rows.starts[0] == 0 for rows in chunks)
+    offsets = np.cumsum([0] + [rows.entries.size for rows in chunks[:-1]])
+    for f in dataclasses.fields(whole):
+        parts = [getattr(rows, f.name) for rows in chunks]
+        if f.name == "starts":
+            parts = [p + o for p, o in zip(parts, offsets)]
+        assert np.concatenate(parts).tobytes() == getattr(whole, f.name).tobytes(), f.name
 
 
 def per_segment_polish(h, c, shift, entries, starts, want, x, lo, hi):
@@ -350,7 +367,7 @@ def test_batched_finish_matches_the_per_segment_polish(hub_graph):
     # x, lo and hi are the polish's state; the products y follow from x
     rng = np.random.default_rng(5)
     for name, h, removed, c in finish_cases(hub_graph):
-        rows = eigen.perron_rows(h, removed, c, 1e-2, 100_000)
+        (rows,) = eigen.perron_rows(h, removed, c, 1e-2, 100_000)
         x = rows.values * (1.0 + 1e-2 * rng.random((removed.size, h.n)).take(rows.entries))
         edges, cp, entries, starts, shift, lo, hi = chunk_state(h, removed, c, x)
         assert np.array_equal(entries, rows.entries), name  # the rows fill one chunk
@@ -369,7 +386,8 @@ def test_a_singular_segment_fails_alone(hub_graph, monkeypatch):
     # both share one stack of equal-size matrices
     u = reduce(disjoint_union, (hub_graph, hub_graph, random_connected(np.random.default_rng(3), 3, 6)))
     c, removed = u.degree_vector, np.array([-1])
-    x = eigen.perron_rows(u, removed, c, 1e-2, 100_000).values
+    (rows,) = eigen.perron_rows(u, removed, c, 1e-2, 100_000)
+    x = rows.values
     x[:8] = 1.0
     edges, cp, entries, starts, shift, lo, hi = chunk_state(u, removed, c, x)
     assert starts.tolist() == [0, 8, 16]  # the segments labelled 0, 8 and 16

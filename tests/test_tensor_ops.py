@@ -44,7 +44,7 @@ def reference_apply(kind: TensorKind, h: Hypergraph, x: np.ndarray) -> np.ndarra
 
 
 def small_axis_apply(kind: TensorKind, h: Hypergraph, x: np.ndarray) -> np.ndarray:
-    """``apply`` as gathered (..., m, k) edge entries with prefix/suffix products along k."""
+    """``apply`` as gathered (m, k) edge entries with prefix/suffix products along k."""
     idx = h.edge_index
     xe = np.take(x, idx, axis=-1)
     k = xe.shape[-1]
@@ -53,10 +53,7 @@ def small_axis_apply(kind: TensorKind, h: Hypergraph, x: np.ndarray) -> np.ndarr
     for j in range(1, k):
         pref[..., j] = pref[..., j - 1] * xe[..., j - 1]
         suff[..., k - 1 - j] = suff[..., k - j] * xe[..., k - j]
-    cells = idx.ravel()
-    if x.ndim == 2:
-        cells = (np.arange(x.shape[0])[:, None] * h.n + cells).ravel()
-    a = np.bincount(cells, weights=(pref * suff).ravel(), minlength=x.size).reshape(x.shape)
+    a = np.bincount(idx.ravel(), weights=(pref * suff).ravel(), minlength=x.size)
     dxk = h.degree_vector * x ** (k - 1)
     return {TensorKind.ADJACENCY: a, TensorKind.LAPLACIAN: dxk - a}.get(kind, dxk + a)
 
@@ -103,8 +100,8 @@ def test_column_kernels_match_small_axis_reductions(k):
     # the order the column kernels fold in, so the floats are the same
     for h, x, rows in column_kernel_cases(k, 200 + k):
         for kind in ALL_KINDS:
+            assert np.array_equal(apply(kind, h, x), small_axis_apply(kind, h, x))
             for v in (x, rows):
-                assert np.array_equal(apply(kind, h, v), small_axis_apply(kind, h, v))
                 assert np.array_equal(form(kind, h, v), small_axis_form(kind, h, v))
             for e in h.edges[:3]:
                 assert edge_form(kind, e, x) == small_axis_form(kind, single_edge(k), x[list(e)])
@@ -131,8 +128,8 @@ def test_column_kernels_at_k8_agree_within_4_ulp():
     # so only ``form`` of L and Q may move, by a few units in the last place
     for h, x, rows in column_kernel_cases(8, 208):
         for kind in ALL_KINDS:
+            assert np.array_equal(apply(kind, h, x), small_axis_apply(kind, h, x))
             for v in (x, rows):
-                assert np.array_equal(apply(kind, h, v), small_axis_apply(kind, h, v))
                 got, want = form(kind, h, v), small_axis_form(kind, h, v)
                 assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
         assert np.array_equal(jacobian(h, x), small_axis_jacobian(h, x))
@@ -319,30 +316,30 @@ def test_apply_rejects_bad_vectors(hub_graph):
 
 
 def test_row_stacks_match_one_dimensional_calls():
-    # row b of a (B, n) call scatters with indices offset by b * n, so it
-    # must reproduce the 1-D call on row b bit for bit
+    # each row's edge terms are contiguous, so every row of a (B, n) form
+    # must reproduce the 1-D call on that row bit for bit
     rng = np.random.default_rng(105)
     for _ in range(12):
         k = int(rng.integers(2, 6))
         h = random_connected(rng, k, int(rng.integers(k + 1, 14)), max_extra=40)
         rows = rng.random((5, h.n)) * (rng.random((5, h.n)) < 0.8)
         for kind in ALL_KINDS:
-            stacked = apply(kind, h, rows)
             forms = form(kind, h, rows)
-            assert stacked.shape == rows.shape
             assert forms.shape == (5,)
             for b in range(5):
-                assert np.array_equal(stacked[b], apply(kind, h, rows[b]))
                 assert forms[b] == form(kind, h, rows[b])
 
 
 def test_row_stacks_reject_bad_rows(hub_graph):
     with pytest.raises(ValueError):
-        apply(TensorKind.LAPLACIAN, hub_graph, np.ones((3, 7)))
+        form(TensorKind.LAPLACIAN, hub_graph, np.ones((3, 7)))
     with pytest.raises(ValueError):
         form(TensorKind.LAPLACIAN, hub_graph, np.full((2, 8), np.nan))
     with pytest.raises(ValueError):
-        apply(TensorKind.LAPLACIAN, hub_graph, np.ones((2, 2, 8)))
+        form(TensorKind.LAPLACIAN, hub_graph, np.ones((2, 2, 8)))
+    # apply takes one vector: a stack of rows is not one
+    with pytest.raises(ValueError):
+        apply(TensorKind.LAPLACIAN, hub_graph, np.ones((2, 8)))
 
 
 def test_row_edges_keep_every_member_sum_bit_for_bit():
