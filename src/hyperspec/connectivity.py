@@ -234,25 +234,11 @@ def connectivity_bound_report(
     alpha = alpha_cert.alpha
     checks.append(make_check("alpha_nonnegative", 0.0, alpha))
     checks.append(make_check("alpha_at_most_min_degree", alpha, float(dmin)))
-    connected = is_connected(h)
-    if connected:
-        checks.append(
-            make_check(
-                "alpha_positive_iff_connected",
-                ALPHA_ZERO_TOL,
-                alpha,
-                note="connected graph must have alpha > 1e-6",
-            )
-        )
+    if is_connected(h):
+        lhs, rhs, note = ALPHA_ZERO_TOL, alpha, "connected graph must have alpha > 1e-6"
     else:
-        checks.append(
-            make_check(
-                "alpha_positive_iff_connected",
-                alpha,
-                ALPHA_ZERO_TOL,
-                note="disconnected graph must have alpha <= 1e-6",
-            )
-        )
+        lhs, rhs, note = alpha, ALPHA_ZERO_TOL, "disconnected graph must have alpha <= 1e-6"
+    checks.append(make_check("alpha_positive_iff_connected", lhs, rhs, note=note))
     if cuts is not None:
         e_val = cuts.edge_connectivity
         checks.append(make_check("edge_connectivity_at_most_min_degree", float(e_val), float(dmin)))

@@ -44,10 +44,6 @@ BOUND_SLACK = 1e-9
 # entries (or one Jacobian, if larger)
 ROW_ENTRY_CAP = 2**15
 
-# the zero-eigenvalue sign search of ``q_definiteness_probe`` is exhaustive
-# up to this many vertices
-MAX_DEFINITENESS_N = 24
-
 # a Perron segment stops stepping to be Newton-polished, once, the first time
 # its bracket is this narrow
 POLISH_GAP = 1e-3
@@ -572,75 +568,58 @@ def bound_report(
 class Definiteness(Enum):
     POSITIVE_DEFINITE = "positive_definite"
     HAS_ZERO_EIGENVALUE = "has_zero_eigenvalue"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
 class DefinitenessResult:
     status: Definiteness
-    witness: np.ndarray | None  # a +-1 vector with Q x^{k-1} = 0 when found
+    witness: np.ndarray | None  # a 0/+-1 vector with Q x^{k-1} = 0 when found
 
 
 def q_definiteness_probe(h: Hypergraph) -> DefinitenessResult:
     """Decide whether the signless Laplacian (even k) has a zero H-eigenvalue.
 
-    For even k the form is a sum of d(i) x_i^k plus k times the edge
-    products, so Q is positive semidefinite and singularity requires every
-    edge to cancel its degree term exactly.  That happens iff k = 4j + 2 and
-    some +-1 assignment makes every edge carry exactly k/2 entries of each
-    sign; for k divisible by 4 no assignment works, so Q is positive
-    definite.  The sign search is exhaustive up to MAX_DEFINITENESS_N
-    vertices (the global flip symmetry pins vertex 0 to +1).
+    For even k, each edge adds sum_{i in e} x_i^k + k * prod_{i in e} x_i >= 0
+    to Q x^k, by AM-GM, so Q is positive semidefinite.  Q x^{k-1} = 0
+    forces Q x^k = 0, so every edge term is 0: on each edge the |x_i| are
+    equal, and either an odd number of them are negative or all are 0.
+    Equal moduli spread through a connected component, so x is +-c on some
+    components and 0 on the rest.  Conversely, on such a component
+    (Q x^{k-1})_i = d_i * (x_i^k - c^k) / x_i = 0.  Flipping every sign
+    keeps each edge's parity, because k is even.  So Q has a zero
+    H-eigenvalue exactly when some component is odd-bipartite: some sign
+    vector puts an odd number of -1 on each of its edges.
+
+    With s_i = 1 where x_i = -1, that is sum_{i in e} s_i = 1 (mod 2) for
+    each edge: one GF(2) elimination over all edges, row by row, with
+    vertex i at bit i + 1 and the right-hand side at bit 0.  Only rows that
+    share a vertex are ever added, so each component is eliminated on its
+    own, and it is odd-bipartite exactly when none of its rows ends as
+    0 = 1.  Back substitution, with every free vertex at 0, gives s.  The
+    witness is 1 - 2s on the first such component, in the order of the
+    smallest vertex, and 0 elsewhere.  Every row holds an even number of
+    vertices, as each edge does, so a component's smallest vertex is never
+    a row's highest: it stays free, and the witness is +1 there.
     """
     if h.k % 2 != 0:
         raise ValueError(f"definiteness probe needs even k, got k={h.k}")
-    if h.k % 4 == 0:
+    pivots: dict[int, int] = {}  # a row's highest bit -> the row
+    label = component_labels(h.edge_index, h.n)
+    odd = label == np.arange(h.n)  # per component, at its smallest vertex
+    for e in h.edges:
+        row = 1 + sum(2 << v for v in e)  # vertex v at bit v + 1, the right-hand side at bit 0
+        while row > 1 and row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if row > 1:
+            pivots[row.bit_length()] = row
+        elif row:
+            odd[label[e[0]]] = False
+    if not odd.any():
         return DefinitenessResult(Definiteness.POSITIVE_DEFINITE, None)
-    if h.n > MAX_DEFINITENESS_N:
-        return DefinitenessResult(Definiteness.INCONCLUSIVE, None)
-    half = h.k // 2
-    edges_of: list[list[int]] = [[] for _ in range(h.n)]
-    for ei, e in enumerate(h.edges):
-        for v in e:
-            edges_of[v].append(ei)
-    pos = [0] * h.m
-    neg = [0] * h.m
-    sign = [0] * h.n
-
-    def assign(v: int, s: int) -> bool:
-        sign[v] = s
-        ok = True
-        for ei in edges_of[v]:
-            if s > 0:
-                pos[ei] += 1
-                if pos[ei] > half:
-                    ok = False
-            else:
-                neg[ei] += 1
-                if neg[ei] > half:
-                    ok = False
-        return ok
-
-    def undo(v: int) -> None:
-        s = sign[v]
-        for ei in edges_of[v]:
-            if s > 0:
-                pos[ei] -= 1
-            else:
-                neg[ei] -= 1
-        sign[v] = 0
-
-    def dfs(v: int) -> bool:
-        if v == h.n:
-            return True  # counts never exceeded half, so every edge is balanced
-        for s in (1, -1):
-            if assign(v, s) and dfs(v + 1):
-                return True
-            undo(v)
-        return False
-
-    if assign(0, 1) and dfs(1):
-        return DefinitenessResult(
-            Definiteness.HAS_ZERO_EIGENVALUE, np.array(sign, dtype=float)
-        )
-    return DefinitenessResult(Definiteness.POSITIVE_DEFINITE, None)
+    s = 0
+    for top, row in sorted(pivots.items()):
+        if (row + (row & s).bit_count()) % 2:
+            s |= 1 << (top - 1)
+    root = int(np.argmax(odd))
+    x = 1.0 - 2.0 * np.array([(s >> v) & 1 for v in range(1, h.n + 1)])
+    return DefinitenessResult(Definiteness.HAS_ZERO_EIGENVALUE, np.where(label == root, x, 0.0))

@@ -130,6 +130,13 @@ def test_spectral_nonconvergence_exits_3(capsys, hub_file):
     assert "converged=False" in out  # still reports what it got
 
 
+def test_a_budget_that_stops_q_before_its_freeze_exits_3(capsys, hub_file):
+    # A converges within 16 steps on the hub graph, Q does not (see
+    # test_only_a_polish_on_freezing_counts_toward_converged)
+    code, _, _ = run(capsys, ["spectral", "--kind", "all", "--max-iter", "16", hub_file])
+    assert code == 3
+
+
 @pytest.mark.parametrize("command", ["spectral", "alpha"])
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_iteration_cap_below_one_exits_2(capsys, hub_file, command, cap):
@@ -337,6 +344,23 @@ def test_report_is_deterministic_and_round_trips(capsys, path_file):
     assert payload["cuts"]["edge_connectivity"] == 1
     # The emitter is the only float formatter, so parse + re-emit is lossless.
     assert emit_json(payload) + "\n" == out1
+
+
+def test_report_without_cut_enumeration_or_structural_pairs(capsys, tmp_path):
+    # the k2 cycle on 21 vertices: too many for the cut enumeration, too
+    # small a k for the structural pairs; its alpha is the least eigenvalue
+    # 2 - 2 cos(pi / 21) of the path's Dirichlet matrix
+    h = Hypergraph.from_edges(2, 21, [(i, (i + 1) % 21) for i in range(21)])
+    code, out, _ = run(capsys, ["report", write_khg(tmp_path / "cycle.khg", h)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cuts"] == {"computed": False, "note": "n > 20, brute-force enumeration skipped"}
+    assert payload["structural"] == {"note": "structural eigenpairs need k >= 3"}
+    ids = [c["id"] for c in payload["checks"]]
+    assert not [i for i in ids if i.startswith(("edge_connectivity_", "max_cut_"))]
+    exact = 2 - 2 * math.cos(math.pi / 21)
+    assert abs(payload["alpha"]["value"] - exact) <= 1e-12
+    assert payload["alpha"]["lower_bound"] <= exact + 1e-12
 
 
 def test_flat_float_lists_format_like_their_elements():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 from functools import reduce
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -233,6 +235,23 @@ def test_k2_radii_match_matrix_eigenvalues():
 
 def test_nonconvergence_is_reported_not_raised(hub_graph):
     res = spectral_radius(TensorKind.ADJACENCY, hub_graph, PowerOptions(max_iter=2))
+    assert not res.converged
+
+
+def test_only_a_polish_on_freezing_counts_toward_converged(hub_graph):
+    # a default run takes 16 A steps and 18 Q steps on the hub graph.  A's
+    # bracket first reaches POLISH_GAP on step 16, so with max_iter=16 it is
+    # frozen and polished on its last allowed step, and that polish counts
+    res = spectral_radius(TensorKind.ADJACENCY, hub_graph, PowerOptions(max_iter=16))
+    (comp,) = res.components
+    assert comp.iterations == 16
+    assert res.converged
+    # Q's bracket reaches POLISH_GAP only after step 17, so the cap stops it
+    # first; the end-of-chunk polish closes it to a few ulps, which does not
+    res = spectral_radius(TensorKind.SIGNLESS_LAPLACIAN, hub_graph, PowerOptions(max_iter=17))
+    (comp,) = res.components
+    assert comp.iterations == 17
+    assert comp.bracket[1] - comp.bracket[0] <= 1e-14
     assert not res.converged
 
 
@@ -662,39 +681,116 @@ def test_definiteness_rejects_odd_k(hub_graph):
         q_definiteness_probe(hub_graph)
 
 
-def test_k4_is_always_positive_definite():
-    rng = np.random.default_rng(6)
-    for _ in range(5):
-        h = random_connected(rng, 4, int(rng.integers(5, 9)))
+def exact_zero_vectors(h: Hypergraph) -> np.ndarray:
+    """Every x in {-1, 0, 1}^n less 0 with Q x^{k-1} = 0, found in int64 arithmetic."""
+    x = np.array(list(product((-1, 0, 1), repeat=h.n)), dtype=np.int64)
+    x = x[(x != 0).any(axis=1)]
+    q = h.degree_vector.astype(np.int64) * x ** (h.k - 1)
+    for e in h.edge_index:
+        for i in range(h.k):
+            q[:, e[i]] += x[:, np.delete(e, i)].prod(axis=1)
+    return x[(q == 0).all(axis=1)]
+
+
+def random_even_k_graph(rng: np.random.Generator) -> Hypergraph:
+    """k in {2, 4, 6}, up to 6 random edges on at most 7 vertices, the
+    uncovered ones dropped.  Where two edges fit side by side, which takes
+    k = 2, the edges fall half the time in two disjoint blocks."""
+    k = int(rng.choice([2, 4, 6]))
+    n = int(rng.integers(k, 8))
+    blocks = [np.arange(n)]
+    if n >= 2 * k and rng.random() < 0.5:
+        blocks = np.split(blocks[0], [rng.integers(k, n - k + 1)])
+    edges = set()
+    for _ in range(rng.integers(1, 7)):
+        block = blocks[rng.integers(len(blocks))]
+        edges.add(tuple(sorted(rng.choice(block, size=k, replace=False).tolist())))
+    kept = np.unique(list(edges))
+    return Hypergraph.from_edges(k, kept.size, [np.searchsorted(kept, e) for e in sorted(edges)])
+
+
+def assert_exact_witness(h: Hypergraph, w: np.ndarray) -> None:
+    """w certifies 0 exactly and is +1 at the smallest vertex of the one
+    component it covers, wholly and with signs only."""
+    pair = verify_eigenpair(TensorKind.SIGNLESS_LAPLACIAN, h, 0.0, w)
+    assert pair.residual == 0.0
+    (part,) = [c for c in components(h) if w[c[0]] != 0]
+    assert support(w) == list(part)
+    assert w[part[0]] == 1.0
+    assert set(np.abs(w[list(part)])) == {1.0}
+
+
+def test_probe_matches_an_exact_search_over_signs_and_zeros():
+    rng = np.random.default_rng(1)
+    answers = set()
+    for _ in range(210):
+        h = random_even_k_graph(rng)
+        zeros = exact_zero_vectors(h)
         res = q_definiteness_probe(h)
-        assert res.status is Definiteness.POSITIVE_DEFINITE
-        assert res.witness is None
+        answers.add((h.k, res.status))
+        if zeros.size == 0:
+            assert res.status is Definiteness.POSITIVE_DEFINITE
+            assert res.witness is None
+            continue
+        assert res.status is Definiteness.HAS_ZERO_EIGENVALUE
+        assert_exact_witness(h, res.witness)
+        # the first component, by smallest vertex, that holds a zero vector
+        assert support(res.witness)[0] == (zeros != 0).argmax(axis=1).min()
+    # k6 on at most 7 vertices is positive definite only as K_7^(6)
+    assert answers == set(product((2, 4), Definiteness)) | {(6, Definiteness.HAS_ZERO_EIGENVALUE)}
 
 
-def test_k6_single_edge_has_balanced_zero_witness(k6_edge):
+@pytest.mark.parametrize(
+    "k, n, edges, x",
+    [
+        # a single k4 edge: one negative entry is an odd count
+        (4, 4, [(0, 1, 2, 3)], (-1, 1, 1, 1)),
+        # K_7^(6) less one edge: every edge left holds vertex 0, a 1 : 5 split
+        (6, 7, list(combinations(range(7), 6))[:-1], (-1, 1, 1, 1, 1, 1, 1)),
+        # the k2 triangle cannot be split, the disjoint edge beside it can
+        (2, 5, [(0, 1), (0, 2), (1, 2), (3, 4)], (0, 0, 0, 1, -1)),
+    ],
+    ids=["k4-edge", "k6-complete-less-one", "k2-triangle-and-edge"],
+)
+def test_zero_eigenvalues_off_the_balanced_splits(k, n, edges, x):
+    h = Hypergraph.from_edges(k, n, edges)
+    assert verify_eigenpair(TensorKind.SIGNLESS_LAPLACIAN, h, 0.0, np.array(x, dtype=float)).residual == 0.0
+    res = q_definiteness_probe(h)
+    assert res.status is Definiteness.HAS_ZERO_EIGENVALUE
+    assert_exact_witness(h, res.witness)
+
+
+def test_k6_single_edge_has_odd_zero_witness(k6_edge):
     res = q_definiteness_probe(k6_edge)
     assert res.status is Definiteness.HAS_ZERO_EIGENVALUE
     w = np.asarray(res.witness)
     assert set(np.unique(w)) == {-1.0, 1.0}
     assert w[0] == 1.0
+    assert np.count_nonzero(w < 0) % 2 == 1
     pair = verify_eigenpair(TensorKind.SIGNLESS_LAPLACIAN, k6_edge, 0.0, w)
     assert pair.classification is Classification.H
     assert pair.residual <= 1e-12
 
 
 def test_complete_6_uniform_on_7_vertices_is_positive_definite():
-    # seven vertices cannot be split 3/3 by every edge simultaneously
-    from itertools import combinations
-
+    # the parities of the seven edges, each all vertices but one, sum to
+    # 6 * (the number of -1 entries), which is even, not 7 mod 2
     edges = list(combinations(range(7), 6))
     h = Hypergraph.from_edges(6, 7, edges)
     res = q_definiteness_probe(h)
     assert res.status is Definiteness.POSITIVE_DEFINITE
 
 
-def test_large_k6_graph_is_inconclusive():
+def test_large_graphs_are_decided_exactly():
     rng = np.random.default_rng(8)
     h = random_connected(rng, 6, 30, max_extra=0)
     res = q_definiteness_probe(h)
-    assert res.status is Definiteness.INCONCLUSIVE
-    assert res.witness is None
+    assert res.status is Definiteness.HAS_ZERO_EIGENVALUE
+    assert_exact_witness(h, res.witness)
+    # 2,000 vertices take about 0.03 s
+    h = random_connected(rng, 4, 2000)
+    start = time.perf_counter()
+    res = q_definiteness_probe(h)
+    assert time.perf_counter() - start < 1.0
+    assert res.status is Definiteness.HAS_ZERO_EIGENVALUE
+    assert_exact_witness(h, res.witness)
