@@ -41,12 +41,18 @@ BOUND_SLACK = 1e-9
 # the Perron kernel steps its rows in fixed chunks of at most this many
 # rows * m * k edge entries, which bounds every (rows, m, k) array of one power
 # step, and its Newton finish solves stacks of at most this many Jacobian
-# entries (or one Jacobian, if larger)
+# entries, or one Jacobian of at most FINISH_CAP**2 entries
 ROW_ENTRY_CAP = 2**15
 
-# a Perron segment stops stepping to be Newton-polished, once, the first time
-# its bracket is this narrow
+# a Perron segment stops stepping to be Newton-polished when its bracket is
+# first this narrow, and after a finish that leaves it wider than tol, again
+# each time the bracket narrows tenfold, so tol bounds the attempts
 POLISH_GAP = 1e-3
+
+# only segments of at most this many vertices are Newton-polished, which
+# bounds every dense (z, z) Jacobian and its solve at 8 MB each; a larger
+# segment keeps its power bracket
+FINISH_CAP = 1024
 
 
 class Classification(Enum):
@@ -187,15 +193,17 @@ def _polish(
     edges: np.ndarray, c: np.ndarray, shift: float, starts: np.ndarray,
     want: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 ) -> None:
-    """Newton-polish together every segment of x where ``want`` holds, from the
-    midpoint of its bracket [lo, hi]; the segment's x, lo and hi take the
-    polished ones in place when the polish succeeds and narrows its bracket.
+    """Newton-polish together every segment of x of at most FINISH_CAP vertices
+    where ``want`` holds, from the midpoint of its bracket [lo, hi]; the
+    segment's x, lo and hi take the polished ones in place when the polish
+    succeeds and narrows its bracket.
 
     x, c and ``edges`` are a chunk's place arrays, as ``perron_rows`` plans
     them.  No edge joins two segments, so each wanted segment's floats are
     those of a polish on its own hypergraph, and every other segment takes
     no Newton step.
     """
+    want = want & (np.diff(starts, append=x.size) <= FINISH_CAP)
     if not want.any():
         return
     ok, _, xe = _newton(edges, c, x, starts, 0.5 * (lo + hi), want)
@@ -267,16 +275,23 @@ def perron_rows(
     (Collatz-Wielandt).  A segment stops when its bracket is at most
     ``tol`` wide (converged) or after ``max_iter`` power steps, and keeps
     its x from then on; ``iterations`` counts the steps, not the bracket at
-    the start.  Each segment is Newton-polished once.  When its bracket is
-    first at most POLISH_GAP wide it is frozen: it takes no more steps, and
-    once no segment of the chunk is going, one ``_polish`` finishes every
-    frozen segment together; one whose polish fails goes on stepping.  A
-    segment that stops unpolished (a loose ``tol`` or a small ``max_iter``)
-    is polished, if hi > lo, in one more ``_polish`` at the end of the
-    chunk, which leaves ``converged`` as it was.  The bracket at the
-    polished vector replaces the power iterate's when it is narrower.  A
-    frozen segment's floats depend on its own x alone, so the polish gives
-    the floats it gave when it ran on freezing.
+    the start.  One ``gate`` per segment decides its Newton finish.  It
+    starts at POLISH_GAP, and a segment is frozen while tol < gap <= gate,
+    gap being its bracket's width: it takes no steps.  Once no segment of
+    the chunk is going, one ``_polish`` finishes every frozen segment
+    together, and each one's gate drops to a tenth of the gap it had before
+    that polish.  So a segment whose finish fails or leaves it wider than
+    ``tol`` steps on, and is finished again once its bracket has narrowed
+    tenfold.  A frozen segment needs gate > tol, so it is attempted at most
+    ceil(log10(POLISH_GAP / tol)) times.  A segment never attempted (a loose
+    ``tol`` or a small ``max_iter`` stopped it first) is polished, if hi >
+    lo, in one more ``_polish`` at the end of the chunk, which leaves
+    ``converged`` as it was.  The bracket at the polished vector replaces
+    the power iterate's when it is narrower.  A frozen segment's floats
+    depend on its own x alone, so the polish gives the floats it gave when
+    it ran on freezing.  ``_polish`` skips every segment of more than
+    FINISH_CAP vertices, which keeps its power bracket: there ``converged``
+    means that the power iteration closed it to ``tol``.
     """
     k, n = h.k, h.n
     capacity = max(1, ROW_ENTRY_CAP // (h.m * k))
@@ -288,30 +303,27 @@ def perron_rows(
         cp = c[entries % n]
         x = np.ones(entries.size)  # every segment starts at all-ones
         steps = np.zeros(starts.size, dtype=np.int64)
-        tried, frozen = np.zeros(starts.size, dtype=bool), np.zeros(starts.size, dtype=bool)
+        gate = np.full(starts.size, POLISH_GAP)
         while True:
             y, lo, hi = _ratio_bracket(edges, x, starts, cp, shift)
             gap = hi - lo
-            fresh = (gap > tol) & (gap <= POLISH_GAP) & ~tried
-            tried |= fresh
-            frozen |= fresh
+            frozen = (gap > tol) & (gap <= gate)
             going = (gap > tol) & (steps < max_iter) & ~frozen
-            if not going.any() and frozen.any():
+            if not going.any():
+                if not frozen.any():
+                    break
                 # a frozen segment's floats depend on its own x alone, so
                 # polishing it now gives what polishing it on freezing gave
                 _polish(edges, cp, shift, starts, frozen, x, lo, hi)
-                frozen[:] = False
-                if ((hi - lo > tol) & (steps < max_iter)).any():
-                    continue  # to read y at the polished x
-            if not going.any():
-                break
+                gate[frozen] = 0.1 * gap[frozen]
+                continue  # to read y at the polished x
             step = y ** (1.0 / (k - 1))
             move = going[seg]
             top = np.maximum.reduceat(step, starts)[seg[move]]
             x[move] = np.maximum(step[move] / top, floor)
             steps += going
         converged = hi - lo <= tol
-        _polish(edges, cp, shift, starts, ~tried & (hi > lo), x, lo, hi)
+        _polish(edges, cp, shift, starts, (gate == POLISH_GAP) & (hi > lo), x, lo, hi)
         yield PerronRows(entries + first * n, starts, lo, hi, steps, converged, x)
 
 
@@ -390,10 +402,10 @@ def _newton(
     segment's floats depend on another's.  Each Newton step is one
     ``adjacency_products`` call over those edges for every residual, and
     one stacked Jacobian and one ``np.linalg.solve`` per stack of at most
-    ROW_ENTRY_CAP // z^2 wanted segments of equal size z, taken by size,
-    whose edges are picked by per-segment offsets into their runs; a stack
-    whose solve fails is solved matrix by matrix, and only the singular
-    ones fail.  A segment not wanted takes no step.  Returns, per segment,
+    ROW_ENTRY_CAP // z^2 (and at least one) wanted segments of equal size
+    z, taken by size, whose edges are picked by per-segment offsets into
+    their runs; a stack whose solve fails is solved matrix by matrix, and
+    only the singular ones fail.  A segment not wanted takes no step.  Returns, per segment,
     whether it was wanted and succeeded and its lam, and the values of its
     vector (the start's, scaled, where it failed).
     """

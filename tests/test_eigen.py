@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from functools import reduce
 from itertools import combinations, product
@@ -233,6 +234,32 @@ def test_k2_radii_match_matrix_eigenvalues():
                 assert value == pytest.approx(np.linalg.eigvalsh(matrix)[-1], abs=1e-12), h.edges
 
 
+def power_hypergraph(g: Hypergraph, k: int) -> Hypergraph:
+    """G^k: each edge of the graph g gains k - 2 new vertices of its own."""
+    new = g.n + (k - 2) * np.arange(g.m)[:, None] + np.arange(k - 2)
+    return Hypergraph.from_edges(k, g.n + (k - 2) * g.m, np.hstack([g.edge_index, new]).tolist())
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_power_hypergraph_radius_is_the_graph_radius_to_the_power_2_over_k(k):
+    # Zhou, Sun, Wang and Bu (Electron. J. Combin. 2014): rho(G^k) =
+    # rho(G)^{2/k}; the hyperstar with d edges is the power of a star, d^{1/k}
+    rng = np.random.default_rng(k)
+    cases = []
+    for n in rng.integers(4, 16, size=4):
+        g = random_connected(rng, 2, int(n))
+        matrix = np.zeros((g.n, g.n))
+        matrix[g.edge_index[:, 0], g.edge_index[:, 1]] = matrix[g.edge_index[:, 1], g.edge_index[:, 0]] = 1.0
+        cases.append((g, np.linalg.eigvalsh(matrix)[-1] ** (2 / k)))
+    d = 40
+    cases.append((Hypergraph.from_edges(2, d + 1, [(0, v) for v in range(1, d + 1)]), d ** (1 / k)))
+    for g, anchor in cases:
+        res = spectral_radius(TensorKind.ADJACENCY, power_hypergraph(g, k))
+        (comp,) = res.components
+        assert comp.bracket[0] - 1e-13 <= anchor <= comp.bracket[1] + 1e-13, g.edges
+        assert res.value == pytest.approx(anchor, abs=1e-13), g.edges
+
+
 def test_nonconvergence_is_reported_not_raised(hub_graph):
     res = spectral_radius(TensorKind.ADJACENCY, hub_graph, PowerOptions(max_iter=2))
     assert not res.converged
@@ -255,9 +282,10 @@ def test_only_a_polish_on_freezing_counts_toward_converged(hub_graph):
     assert not res.converged
 
 
-def test_a_failed_polish_is_not_retried(hub_graph, monkeypatch):
+def test_failed_finishes_are_retried_a_bounded_number_of_times(hub_graph, monkeypatch):
     # with every Newton solve failing, the power iteration alone closes the
-    # brackets, and each segment is polished at most once
+    # brackets; a segment is polished again each time its bracket narrows
+    # tenfold, and only while it is wider than tol
     calls = []
 
     def failing_solve(a, b):
@@ -267,6 +295,7 @@ def test_a_failed_polish_is_not_retried(hub_graph, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", failing_solve)
     opts = PowerOptions()
+    attempts = math.ceil(math.log10(eigen.POLISH_GAP / opts.tol))
     anchors = {
         TensorKind.ADJACENCY: HUB_ADJ_RADIUS,
         TensorKind.SIGNLESS_LAPLACIAN: HUB_SIGNLESS_RADIUS,
@@ -277,7 +306,56 @@ def test_a_failed_polish_is_not_retried(hub_graph, monkeypatch):
         assert res.converged
         assert all(c.bracket[1] - c.bracket[0] <= opts.tol for c in res.components)
         assert res.value == pytest.approx(anchor, abs=1e-9)
-        assert 1 <= len(calls) <= len(res.components)
+        assert 1 <= len(calls) <= attempts * len(res.components)
+
+
+def test_a_loose_path_is_finished_after_its_first_finish_fails():
+    # the first finish of this slow-gap graph, at POLISH_GAP, fails, and the
+    # power iteration alone would not close its bracket within max_iter
+    h = power_hypergraph(Hypergraph.from_edges(2, 300, [(v, v + 1) for v in range(299)]), 3)
+    res = spectral_radius(TensorKind.ADJACENCY, h)
+    (comp,) = res.components
+    anchor = (2.0 * math.cos(math.pi / 301)) ** (2 / 3)
+    assert res.converged
+    assert comp.bracket[0] - 1e-13 <= anchor <= comp.bracket[1] + 1e-13
+
+
+def test_no_segment_above_the_finish_cap_is_solved(hub_graph, monkeypatch):
+    def no_solve(a, b):
+        raise AssertionError("a segment above FINISH_CAP was solved")
+
+    monkeypatch.setattr(eigen, "FINISH_CAP", hub_graph.n - 1)
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    opts = PowerOptions()
+    for kind, anchor in ((TensorKind.ADJACENCY, HUB_ADJ_RADIUS), (TensorKind.SIGNLESS_LAPLACIAN, HUB_SIGNLESS_RADIUS)):
+        res = spectral_radius(kind, hub_graph, opts)
+        assert res.converged
+        assert all(c.bracket[1] - c.bracket[0] <= opts.tol for c in res.components)
+        assert res.value == pytest.approx(anchor, abs=1e-9)
+
+
+def test_the_row_cap_does_not_change_which_segments_are_finished(hub_graph, monkeypatch):
+    # the alpha rows of the hub graph and of a union hold segments of 1 to 9
+    # vertices, with the cap between; chunks of one row change only the stacks
+    union = reduce(disjoint_union, (random_connected(np.random.default_rng(2), 3, n) for n in (5, 7, 9)))
+    finished, newton = [], eigen._newton
+
+    def spy(edges, c, x, starts, lam, want):
+        finished.extend(np.diff(starts, append=x.size)[want].tolist())
+        return newton(edges, c, x, starts, lam, want)
+
+    def finished_sizes():
+        finished.clear()
+        for h in (hub_graph, union):
+            list(eigen.perron_rows(h, np.arange(h.n), -h.degree_vector, 1e-10, 100_000))
+        return sorted(finished)
+
+    monkeypatch.setattr(eigen, "FINISH_CAP", 6)
+    monkeypatch.setattr(eigen, "_newton", spy)
+    whole = finished_sizes()
+    monkeypatch.setattr(eigen, "ROW_ENTRY_CAP", 1)
+    assert finished_sizes() == whole
+    assert 0 < max(whole) <= 6
 
 
 def test_perron_rows_hold_one_value_per_segment(hub_graph, two_edge_path):
