@@ -34,6 +34,7 @@ from .report import (
     graph_summary,
     radius_block,
     structural_blocks,
+    vector_block,
     SCHEMA,
 )
 from .tensor_ops import TensorKind
@@ -164,7 +165,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "classification": pair.classification.value,
                 "residual": pair.residual,
                 "tolerance": args.tol,
-                "vector": [float(v) for v in pair.vector],
+                "vector": vector_block(pair.values, pair.support),
             },
             args.out,
         )

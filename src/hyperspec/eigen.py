@@ -14,6 +14,8 @@ T x^{k-1} = lambda * x^{[k-1]} componentwise.  Eigenvectors here are
 normalized to sup-norm 1 with the largest-magnitude entry positive, and
 classified by sign structure: H++ (all entries positive), strict H+
 (nonnegative with at least one zero), or plain H (some entry negative).
+An ``EigenPair`` holds its vector as ``support``, the vertices of the
+nonzero entries, and ``values``, the entries there.
 """
 
 from __future__ import annotations
@@ -64,10 +66,19 @@ class Classification(Enum):
 
 @dataclass(frozen=True)
 class EigenPair:
+    """An eigenpair whose vector, of length n, is zero off ``support``."""
+
     value: float
-    vector: np.ndarray
+    support: np.ndarray  # the vertices of its nonzero entries, ascending
+    values: np.ndarray  # its entries there
     residual: float
     classification: Classification
+    n: int
+
+    @property
+    def vector(self) -> np.ndarray:
+        """The dense vector, built on each read."""
+        return _dense(self.n, self.support, self.values)
 
 
 @dataclass(frozen=True)
@@ -89,12 +100,7 @@ class ComponentRadius:
     bracket: tuple[float, float]
     iterations: int
     converged: bool
-    row: np.ndarray = field(repr=False)  # the Perron row that holds every component
-
-    @property
-    def vector(self) -> np.ndarray:
-        """Full length, zero off the component, sup-norm 1."""
-        return np.where(np.isin(np.arange(self.row.size), self.vertices), self.row, 0.0)
+    values: np.ndarray = field(repr=False)  # the positive witness on ``vertices``, sup-norm 1
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,13 @@ def check_iteration_cap(max_iter: int) -> None:
         raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
 
 
+def _dense(n: int, support, values) -> np.ndarray:
+    """The length-n vector that holds ``values`` at ``support`` and 0 elsewhere."""
+    x = np.zeros(n)
+    x[np.asarray(support, dtype=np.int64)] = values
+    return x
+
+
 def normalize_eigenvector(x: np.ndarray) -> np.ndarray:
     """Scale to sup-norm 1 and flip sign so the largest-magnitude entry is positive."""
     norm = np.abs(x).max()
@@ -173,7 +186,8 @@ def verify_eigenpair(
         cls = Classification.H_PLUS_STRICT
     else:
         cls = Classification.H_PLUS_PLUS
-    return EigenPair(value=float(value), vector=v, residual=residual, classification=cls)
+    support = np.flatnonzero(v)
+    return EigenPair(float(value), support, v[support], residual, cls, v.size)
 
 
 def _ratio_bracket(
@@ -337,16 +351,19 @@ def spectral_radius(
     Each component is a segment of one ``perron_rows`` row, with c = 0 for
     A and c = d for Q, run to ``opts.tol`` or for at most ``opts.max_iter``
     power steps.  The radius of the whole graph is the maximum over
-    components; each component carries a positive witness vector.  The
-    Laplacian is rejected because its largest H-eigenvalue is not a Perron root.
+    components; each component carries its positive witness as ``values``
+    on its ``vertices``, and only the result's ``vector``, the witness of the
+    largest, is of length n.  The Laplacian is rejected because its largest
+    H-eigenvalue is not a Perron root.
     """
     if kind is TensorKind.LAPLACIAN:
         raise ValueError("spectral_radius supports only the adjacency and signless Laplacian tensors")
     opts = opts or PowerOptions()
     c = h.degree_vector if kind is TensorKind.SIGNLESS_LAPLACIAN else np.zeros(h.n)
     (rows,) = perron_rows(h, np.array([-1]), c, opts.tol, opts.max_iter)
-    row = rows.values[np.argsort(rows.entries)]  # row 0's entries are its vertices, each once
-    segments = zip(np.split(rows.entries, rows.starts[1:]), rows.lo, rows.hi, rows.iterations, rows.converged)
+    cuts = rows.starts[1:]  # row 0's entries are its vertices, ascending in each segment
+    vertices, values = np.split(rows.entries, cuts), np.split(rows.values, cuts)
+    segments = zip(vertices, values, rows.lo, rows.hi, rows.iterations, rows.converged)
     results = [
         ComponentRadius(
             vertices=tuple(g.tolist()),
@@ -354,14 +371,14 @@ def spectral_radius(
             bracket=(float(lo), float(hi)),
             iterations=int(steps),
             converged=bool(converged),
-            row=row,
+            values=x,
         )
-        for g, lo, hi, steps, converged in segments
+        for g, x, lo, hi, steps, converged in segments
     ]
     best = max(results, key=lambda r: r.value)
     return SpectralRadiusResult(
         value=best.value,
-        vector=best.vector,
+        vector=_dense(h.n, best.vertices, best.values),
         components=tuple(results),
         converged=all(r.converged for r in results),
     )
@@ -488,25 +505,25 @@ def structural_eigenpairs(
     ``radius``, a ``spectral_radius(kind, h, opts)`` the caller has already
     run with its own options; without it they come from
     ``spectral_radius(kind, h)`` at the default options.
+
+    Every pair holds its vector as ``support`` and ``values``: an indicator
+    pair as [j] and [1.0], a radius pair as its component.  Only the check
+    of a radius pair builds a length-n vector, and keeps none of it.
     """
     if h.k < 3:
         raise ValueError(f"structural eigenpairs need k >= 3, got k={h.k}")
     strict = Classification.H_PLUS_STRICT  # an indicator has n - 1 >= 2 zero entries
+    # row j of each (n, 1) array is e_j's support and its value there
+    ids, ones = np.arange(h.n)[:, None], np.ones((h.n, 1))
     if kind is TensorKind.ADJACENCY:
-        e_0 = np.zeros(h.n)
-        e_0[0] = 1.0
-        pairs = [EigenPair(value=0.0, vector=e_0, residual=0.0, classification=strict)]
+        pairs = [EigenPair(0.0, ids[0], ones[0], 0.0, strict, h.n)]
     else:
-        pairs = [
-            EigenPair(value=float(d), vector=e_j, residual=0.0, classification=strict)
-            for d, e_j in zip(h.degree_vector, np.eye(h.n))
-        ]
+        pairs = [EigenPair(float(d), j, one, 0.0, strict, h.n) for d, j, one in zip(h.degree_vector, ids, ones)]
     if kind is TensorKind.LAPLACIAN:
-        plus = Classification.H_PLUS_PLUS
-        pairs.append(EigenPair(value=0.0, vector=np.ones(h.n), residual=0.0, classification=plus))
+        pairs.append(EigenPair(0.0, ids.ravel(), ones.ravel(), 0.0, Classification.H_PLUS_PLUS, h.n))
     else:
         sr = radius if radius is not None else spectral_radius(kind, h)
-        pairs += [verify_eigenpair(kind, h, comp.value, comp.vector) for comp in sr.components]
+        pairs += [verify_eigenpair(kind, h, c.value, _dense(h.n, c.vertices, c.values)) for c in sr.components]
     return tuple(pairs)
 
 

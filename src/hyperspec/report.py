@@ -37,7 +37,7 @@ from .eigen import (
 from .hypergraph import Hypergraph, components, degree_stats
 from .tensor_ops import TensorKind
 
-SCHEMA = "hyperspec/1"
+SCHEMA = "hyperspec/2"
 
 # one encoder for every string: ``json.dumps`` with a non-default option
 # builds a new encoder on each call
@@ -80,8 +80,11 @@ def emit_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) == {float}:
+        kinds = set(map(type, obj))
+        if kinds == {float}:
             return "[" + ", ".join(map(format_float, obj)) + "]"
+        if kinds == {int}:
+            return "[" + ", ".join(map(str, obj)) + "]"
         items = [emit_json(v, indent + 1) for v in obj]
         if not items:
             return "[]"
@@ -99,8 +102,14 @@ def emit_json(obj: Any, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _vec(x: np.ndarray) -> list[float]:
-    return np.asarray(x, dtype=np.float64).tolist()
+def vector_block(values: np.ndarray, support: np.ndarray | None = None) -> dict:
+    """A vector as ``support``, the 1-based ids of its nonzero entries, ascending,
+    and ``values``, its entries there.  Without ``support``, ``values`` is the
+    whole vector, whose zeros are dropped."""
+    if support is None:
+        support = np.flatnonzero(values)
+        values = np.asarray(values)[support]
+    return {"support": (np.asarray(support) + 1).tolist(), "values": np.asarray(values, dtype=np.float64).tolist()}
 
 
 def _ids_1based(vs) -> list[int]:
@@ -130,7 +139,7 @@ def radius_block(res: SpectralRadiusResult, tol: float) -> dict:
         "value": res.value,
         "converged": res.converged,
         "tolerance": tol,
-        "witness": _vec(res.vector),
+        "witness": vector_block(res.vector),
         "components": [
             {
                 "vertices": _ids_1based(c.vertices),
@@ -156,7 +165,7 @@ def structural_blocks(h: Hypergraph, radii: dict[TensorKind, SpectralRadiusResul
                 "value": p.value,
                 "classification": p.classification.value,
                 "residual": p.residual,
-                "vector": _vec(p.vector),
+                "vector": vector_block(p.values, p.support),
             }
             for p in structural_eigenpairs(kind, h, radius=radius)
         ]
@@ -173,7 +182,7 @@ def alpha_block(cert: AlphaCertificate, opts: AlphaOptions) -> dict:
         "converged": cert.converged,
         "is_upper_bound": cert.is_upper_bound,
         "per_vertex_values": [float(v) for v in cert.per_vertex_values],
-        "minimizer": _vec(cert.minimizer),
+        "minimizer": vector_block(cert.minimizer),
         "starts": opts.starts,
         "seed": opts.seed,
     }

@@ -310,7 +310,7 @@ def test_verify_json(capsys, k6_file):
     assert payload["classification"] == "H"
     assert payload["lambda"] == 2.0
     assert payload["residual"] <= 1e-10
-    assert payload["vector"] == [1.0, 1.0, 1.0, -1.0, -1.0, -1.0]
+    assert payload["vector"] == {"support": [1, 2, 3, 4, 5, 6], "values": [1.0, 1.0, 1.0, -1.0, -1.0, -1.0]}
 
 
 def test_verify_unparseable_vector_exits_2(capsys, tmp_path):
@@ -484,3 +484,17 @@ def test_spectral_on_a_perfect_matching_stays_small(tmp_path):
     proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 0
     assert usage.ru_maxrss / 1024 < 128  # MB; ru_maxrss is in kB on Linux
+
+
+def test_spectral_json_grows_linearly_in_the_components(capsys, tmp_path):
+    # every vector is written on its support: an indicator pair as one entry,
+    # a radius pair as its component, so twice the components make about
+    # twice the output (n^2 floats under full-length vectors: four times)
+    sizes = []
+    for copies in (100, 200):
+        n = 5 * copies  # two k3 edges sharing one vertex per copy
+        h = Hypergraph.from_edges(3, n, [(v, v + 1, v + 2) for c in range(0, n, 5) for v in (c, c + 2)])
+        code, out, _ = run(capsys, ["spectral", "--kind", "all", "--json", write_khg(tmp_path / f"{copies}.khg", h)])
+        assert code == 0
+        sizes.append(len(out))
+    assert sizes[1] <= 2.2 * sizes[0]

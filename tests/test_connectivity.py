@@ -298,7 +298,7 @@ def _alpha_floats(h: Hypergraph) -> tuple:
 
 def _radius_floats(h: Hypergraph) -> list:
     res = spectral_radius(TensorKind.SIGNLESS_LAPLACIAN, h)
-    return [(c.bracket, c.vector.tolist(), c.iterations, c.converged) for c in res.components]
+    return [(c.bracket, c.values.tolist(), c.iterations, c.converged) for c in res.components]
 
 
 @pytest.mark.parametrize(

@@ -194,9 +194,7 @@ def test_radii_of_graphs_with_thousands_of_components(two_edge_path):
         for c, comp in enumerate(res.components):
             assert comp.vertices == tuple(range(n * c, n * c + n))
             assert (comp.bracket, comp.iterations, comp.converged) == (one.bracket, one.iterations, True)
-            vector = comp.vector
-            assert np.array_equal(vector[n * c : n * c + n], one.vector)
-            assert not vector[: n * c].any() and not vector[n * c + n :].any()
+            assert np.array_equal(comp.values, one.values)
     # a perfect matching's 5,000 edges each close their bracket at the start
     matching = Hypergraph.from_edges(2, 10_000, [(v, v + 1) for v in range(0, 10_000, 2)])
     for kind, radius in ((TensorKind.ADJACENCY, 1.0), (TensorKind.SIGNLESS_LAPLACIAN, 2.0)):
@@ -369,7 +367,7 @@ def test_perron_rows_hold_one_value_per_segment(hub_graph, two_edge_path):
     # the values sit at the places of entries: each copy holds the one graph's vector
     (one,) = spectral_radius(TensorKind.ADJACENCY, two_edge_path).components
     assert rows.values.shape == rows.entries.shape
-    assert all(np.array_equal(g, one.vector) for g in np.split(rows.values, rows.starts[1:]))
+    assert all(np.array_equal(g, one.values) for g in np.split(rows.values, rows.starts[1:]))
     # alpha's rows: G - j for every j, its segments row after row, by label within a row
     h = hub_graph
     removed = np.arange(h.n)
@@ -671,10 +669,11 @@ def test_newton_polish_each_component_on_the_full_graph(k, sizes):
         assert len(radius.components) == 2
         for comp in radius.components:
             # the kernel returns polished pairs, so start from a perturbed one
-            start = comp.vector * (1.0 + 1e-3 * rng.random(u.n))
+            S = np.array(comp.vertices)
+            start = np.zeros(u.n)
+            start[S] = comp.values * (1.0 + 1e-3 * rng.random(u.n))[S]
             value = comp.value + 1e-3
             assert verify_eigenpair(kind, u, value, start).residual > 1e-8
-            S = np.array(comp.vertices)
             lam, xs = newton_polish(induced(u, S), c[S], value, start[S])
             x = np.zeros(u.n)
             x[S] = xs
